@@ -1204,7 +1204,8 @@ inline void RunSocketPipelineTable(uint64_t n, int threads,
 /// with a client-side FaultInjector (net/fault.h) sabotaging a swept
 /// fraction of wire attempts — resets before/after send, torn frames,
 /// bit flips, delays — while the resilient transport retries, reconnects,
-/// and resolves lost publish acks. Two honesty rules:
+/// and replays lost publish acks (the server dedups a replay whose
+/// original landed). Two honesty rules:
 ///
 ///   - the row at rate 0.00 is the healthy baseline; every other row's
 ///     commits/s is GOODPUT (acked commits only) and is expected to sag

@@ -15,8 +15,8 @@
 // The injector is a *client-side* saboteur: it garbles, tears, delays, or
 // resets the transport's own traffic, which exercises every server
 // hardening path (digest-mismatch rejects, torn-frame connection drops)
-// and every client resilience path (reconnect, retry, publish replay
-// resolution) without any cooperation from the server. Thread-safe: one
+// and every client resilience path (reconnect, retry, publish replay)
+// without any cooperation from the server. Thread-safe: one
 // injector may serve a transport shared by many threads.
 
 #ifndef SIRI_NET_FAULT_H_
@@ -46,8 +46,9 @@ enum class FaultKind : uint8_t {
   /// executing it.
   kCorruptFrame,
   /// Send the full request, then close before reading the response: the
-  /// classic lost-ack. The request may or may not have executed — the
-  /// ambiguous case Publish must resolve by head inspection.
+  /// classic lost-ack. The request may or may not have executed; the
+  /// replay is safe because the server dedups a publish that already
+  /// landed.
   kResetAfterSend,
   /// Sleep before sending (a slow client / congested path).
   kDelaySend,

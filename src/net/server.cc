@@ -415,26 +415,16 @@ bool SiriServer::ProcessConnection(Connection* conn) {
       auto next = conn->decoder.Next(&payload);
       if (!next.ok()) {
         // Unresynchronizable stream: say why with the bad-frame marker
-        // (the request was never executed — the client may safely
-        // replay), then hang up. Best-effort — the peer that garbled its
-        // stream may not be reading. Earlier queued responses flush with
-        // the reject: they answer requests that DID execute.
+        // (the request was never executed), then hang up.
         frame_errors_.fetch_add(1, std::memory_order_relaxed);
-        outbox.push_back(EncodeFrame(
-            EncodeResponse(BadFrame(next.status()), Slice(),
-                           conn->wire_version, /*corr_id=*/0)));
-        (void)FlushOutbox(conn, &outbox);
-        return false;
+        return RejectAndClose(conn, BadFrame(next.status()), &outbox);
       }
       if (!*next) break;
       Request req;
-      const Status decoded = DecodeRequest(payload, &req, conn->wire_version);
+      const Status decoded = DecodeRequest(payload, &req);
       if (!decoded.ok()) {
         frame_errors_.fetch_add(1, std::memory_order_relaxed);
-        outbox.push_back(EncodeFrame(EncodeResponse(
-            BadFrame(decoded), Slice(), conn->wire_version, /*corr_id=*/0)));
-        (void)FlushOutbox(conn, &outbox);
-        return false;
+        return RejectAndClose(conn, BadFrame(decoded), &outbox);
       }
       if (req.type == MsgType::kHello) {
         if (opts_.max_connections > 0 &&
@@ -444,43 +434,37 @@ bool SiriServer::ProcessConnection(Connection* conn) {
           // delivered as a clean response + FIN rather than an
           // accept-time RST that could discard the explanation.
           overload_rejects_.fetch_add(1, std::memory_order_relaxed);
-          outbox.push_back(EncodeFrame(EncodeResponse(
-              Status::ResourceExhausted(
-                  "server at connection capacity (max " +
-                  std::to_string(opts_.max_connections) + ")"),
-              Slice(), /*wire_version=*/1, /*corr_id=*/0)));
-          (void)FlushOutbox(conn, &outbox);
-          return false;
+          return RejectAndClose(
+              conn,
+              Status::ResourceExhausted("server at connection capacity (max " +
+                                        std::to_string(opts_.max_connections) +
+                                        ")"),
+              &outbox);
         }
-        // Version negotiation, handled inline because it writes
-        // per-connection state. The exchange itself is always v1-shaped
-        // (it precedes the negotiation — net/wire.h); every later frame
-        // on this connection speaks the negotiated version. A below-floor
-        // client gets a typed reject and the connection stays open: the
-        // peer may retry the Hello with another version.
+        // The version handshake, handled inline because it writes
+        // per-connection state. A peer speaking any other version has no
+        // common dialect: typed reject, then hang up.
         requests_.fetch_add(1, std::memory_order_relaxed);
-        Status app;
-        std::string body;
-        if (req.version < kMinWireVersion) {
-          app = Status::InvalidArgument(
-              "wire version mismatch: client speaks v" +
-              std::to_string(req.version) + ", server floor v" +
-              std::to_string(kMinWireVersion));
-        } else {
-          conn->wire_version = NegotiateWireVersion(
-              static_cast<uint32_t>(req.version), kWireVersion);
-          PutVarint64(&body, conn->wire_version);
+        if (req.version != kWireVersion) {
+          return RejectAndClose(
+              conn,
+              Status::InvalidArgument(
+                  "wire version mismatch: client speaks v" +
+                  std::to_string(req.version) + ", server speaks v" +
+                  std::to_string(kWireVersion)),
+              &outbox);
         }
-        outbox.push_back(EncodeFrame(
-            EncodeResponse(app, body, /*wire_version=*/1, /*corr_id=*/0)));
+        conn->greeted = true;
+        std::string body;
+        PutVarint64(&body, kWireVersion);
+        outbox.push_back(EncodeFrame(EncodeHelloResponse(Status::OK(), body)));
         continue;
       }
       requests_.fetch_add(1, std::memory_order_relaxed);
       Status app;
       std::string body;
-      Execute(req, conn, &app, &body);
-      outbox.push_back(EncodeFrame(
-          EncodeResponse(app, body, conn->wire_version, req.corr_id)));
+      Execute(req, &app, &body);
+      outbox.push_back(EncodeFrame(EncodeResponse(app, body, req.corr_id)));
     }
     if (!outbox.empty() && !FlushOutbox(conn, &outbox)) return false;
   }
@@ -513,8 +497,7 @@ Status SiriServer::DiskHealth() const {
   return Status::OK();
 }
 
-void SiriServer::Execute(const Request& req, Connection* conn, Status* app,
-                         std::string* body) {
+void SiriServer::Execute(const Request& req, Status* app, std::string* body) {
   const bool is_write = IsWriteRequest(req.type);
   if (is_write) {
     // Read-only degraded mode: once the store (or ref log) latched a
@@ -529,7 +512,7 @@ void SiriServer::Execute(const Request& req, Connection* conn, Status* app,
       return;
     }
   }
-  ExecuteOp(req, conn, app, body);
+  ExecuteOp(req, app, body);
   if (is_write && !app->ok()) {
     // This request may be the one that tripped the disk fault: its error
     // surfaced raw from the store (e.g. IOError("fsync ...")). Remap it
@@ -540,7 +523,7 @@ void SiriServer::Execute(const Request& req, Connection* conn, Status* app,
   }
 }
 
-void SiriServer::ExecuteOp(const Request& req, Connection* conn, Status* app,
+void SiriServer::ExecuteOp(const Request& req, Status* app,
                            std::string* body) {
   *app = Status::OK();
   body->clear();
@@ -629,8 +612,8 @@ void SiriServer::ExecuteOp(const Request& req, Connection* conn, Status* app,
       out.commit = landed->commit;
       out.cas_failures = static_cast<uint64_t>(landed->cas_failures);
       out.merge_commits = static_cast<uint64_t>(landed->merge_commits);
-      if (req.want_push && conn->wire_version >= 2 &&
-          opts_.cache_push_max_bytes > 0 && landed->staged != nullptr) {
+      if (req.want_push && opts_.cache_push_max_bytes > 0 &&
+          landed->staged != nullptr) {
         // Combiner-aware cache push: attach the staged batch this publish
         // landed with — merged index pages and commit objects, exactly
         // the nodes a losing committer would Get back one round trip at a
@@ -645,7 +628,7 @@ void SiriServer::ExecuteOp(const Request& req, Connection* conn, Status* app,
         }
         pushed_nodes_.fetch_add(out.pushed.size(), std::memory_order_relaxed);
       }
-      *body = EncodePublishResultBody(out, conn->wire_version);
+      *body = EncodePublishResultBody(out);
       return;
     }
     case MsgType::kBranchStats:
@@ -666,6 +649,17 @@ void SiriServer::ExecuteOp(const Request& req, Connection* conn, Status* app,
       break;
   }
   *app = Status::InvalidArgument("request type not servable");
+}
+
+bool SiriServer::RejectAndClose(Connection* conn, const Status& reject,
+                                std::vector<std::string>* outbox) {
+  // Earlier queued responses flush with the reject: they answer requests
+  // that DID execute. Best-effort — the peer may not be reading.
+  outbox->push_back(EncodeFrame(conn->greeted
+                                    ? EncodeResponse(reject, Slice())
+                                    : EncodeHelloResponse(reject, Slice())));
+  (void)FlushOutbox(conn, outbox);
+  return false;
 }
 
 bool SiriServer::FlushOutbox(Connection* conn,

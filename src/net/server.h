@@ -97,8 +97,8 @@ struct ServerOptions {
   /// of growing the connection's buffer without limit.
   uint64_t max_buffered_bytes = 0;
 
-  /// Byte budget for the combiner-aware cache push: when a wire-v2 client
-  /// asks (`want_push`), a Publish ack carries the combined publish's
+  /// Byte budget for the combiner-aware cache push: when a client asks
+  /// (`want_push`), a Publish ack carries the combined publish's
   /// staged batch — merged index pages and commit objects, the nodes a
   /// losing committer re-reads next round — up to this many node bytes
   /// (0 disables the push server-wide). Records are dropped from the
@@ -179,9 +179,10 @@ class SiriServer {
         : fd(fd_in), decoder(max_frame), last_activity_ms(now_ms) {}
     int fd;
     FrameDecoder decoder;  // touched only by the owning worker
-    /// Negotiated at this connection's Hello (net/wire.h); 1 until then.
-    /// Touched only by the owning worker, like the decoder.
-    uint32_t wire_version = 1;
+    /// Set by a successful Hello. Until then rejects go out in the
+    /// id-less Hello layout (net/wire.h) — the only one the peer's
+    /// handshake reads. Touched only by the owning worker.
+    bool greeted = false;
     /// Wall of the connection's last traffic, for the idle sweep.
     std::atomic<int64_t> last_activity_ms;
     /// True from the moment the event loop queues the fd for a worker
@@ -202,10 +203,8 @@ class SiriServer {
   /// while DiskHealth() reports a sticky fault; reads pass through. The
   /// very request that *trips* the fault gets its raw store error
   /// remapped to the same typed reject, so clients see one error shape.
-  void Execute(const Request& req, Connection* conn, Status* app,
-               std::string* body);
-  void ExecuteOp(const Request& req, Connection* conn, Status* app,
-                 std::string* body);
+  void Execute(const Request& req, Status* app, std::string* body);
+  void ExecuteOp(const Request& req, Status* app, std::string* body);
   /// The sticky disk health across everything the servlet persists: the
   /// node store first, then the attached ref log (if any).
   Status DiskHealth() const;
@@ -213,6 +212,11 @@ class SiriServer {
   /// frame boundaries, IOV-chunked); false when the peer is unwritable.
   /// Clears \p outbox on success.
   bool FlushOutbox(Connection* conn, std::vector<std::string>* outbox);
+  /// Queues \p reject — id-less until \p conn is greeted — behind the
+  /// responses already in \p outbox, flushes best-effort, and returns
+  /// false: the connection must close.
+  bool RejectAndClose(Connection* conn, const Status& reject,
+                      std::vector<std::string>* outbox);
   void CloseConnection(int fd) EXCLUDES(mu_);
   /// Closes every connection not owned by a worker; run on the event-loop
   /// tick for the idle sweep (\p idle_only) and during a drain (all).

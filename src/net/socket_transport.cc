@@ -14,8 +14,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
-#include <set>
 #include <thread>
 
 #include "common/varint.h"
@@ -25,12 +23,6 @@ namespace siri {
 namespace net {
 
 namespace {
-
-// Commit objects fetched while resolving an ambiguous publish. A branch
-// cannot gain more than (writers × retry budget) commits during one
-// resolution window, so a walk this deep means the client is hopelessly
-// behind — give up with Unavailable rather than chase the head forever.
-constexpr size_t kPublishResolveBudget = 512;
 
 Status Errno(const char* what) {
   return Status::IOError(std::string(what) + ": " + std::strerror(errno));
@@ -76,16 +68,9 @@ Result<int> DialOnce(const std::string& host, int port) {
 
 /// Handshake failures worth re-dialing for: the wire broke (IO) or the
 /// server is shedding load (ResourceExhausted). Typed application rejects
-/// — an unservable version above all — are deterministic and fail fast.
+/// — a version mismatch above all — are deterministic and fail fast.
 bool RetriableHandshake(const Status& s) {
   return s.code() == Status::Code::kIOError || s.IsResourceExhausted();
-}
-
-/// A pre-negotiation server's Hello reject: it could not serve the
-/// advertised version but is still listening — worth one downgrade retry.
-bool IsVersionMismatchReject(const Status& s) {
-  return s.IsInvalidArgument() &&
-         s.message().find("wire version mismatch") != std::string::npos;
 }
 
 }  // namespace
@@ -112,9 +97,8 @@ Status SocketTransport::Connect(const std::string& host, int port,
   if (!fd.ok()) return fd.status();
   std::shared_ptr<SocketTransport> t(
       new SocketTransport(host, port, *fd, opts));
-  // Version handshake up front: a non-siri peer or unservable version
-  // skew turns into a typed error here instead of a hung or garbled
-  // first RPC.
+  // Version handshake up front: a non-siri peer or a version mismatch
+  // turns into a typed error here instead of a hung or garbled first RPC.
   Status hs;
   {
     MutexLock lock(t->mu_);
@@ -123,8 +107,8 @@ Status SocketTransport::Connect(const std::string& host, int port,
     t->connecting_ = false;
   }
   const int max_attempts = std::max(1, opts.retry.max_attempts);
-  for (int attempt = 1; !hs.ok() && opts.auto_reconnect &&
-                        attempt < max_attempts && RetriableHandshake(hs);
+  for (int attempt = 1;
+       !hs.ok() && attempt < max_attempts && RetriableHandshake(hs);
        ++attempt) {
     t->retries_.fetch_add(1, std::memory_order_relaxed);
     t->BackoffSleep(attempt);
@@ -151,11 +135,6 @@ void SocketTransport::SetPushSink(PushSink sink) {
   push_sink_ = std::move(sink);
 }
 
-uint32_t SocketTransport::negotiated_wire_version() const {
-  MutexLock lock(mu_);
-  return wire_version_;
-}
-
 void SocketTransport::CloseLocked() {
   if (fd_ >= 0) {
     close(fd_);
@@ -180,11 +159,6 @@ SocketTransport::TimePoint SocketTransport::DeadlineFromNow() const {
   if (opts_.rpc_timeout_ms <= 0) return TimePoint::max();
   return std::chrono::steady_clock::now() +
          std::chrono::milliseconds(opts_.rpc_timeout_ms);
-}
-
-int SocketTransport::EffectiveMaxInflightLocked() const {
-  if (wire_version_ < 2) return 1;  // no correlation ids on the wire
-  return std::max(1, opts_.max_inflight);
 }
 
 Status SocketTransport::PollUnlocked(MutexLock& lock, int fd, short events,
@@ -267,17 +241,16 @@ Status SocketTransport::SendFrameLocked(MutexLock& lock,
 void SocketTransport::HandleDeadlineMissLocked(PendingRpc* self) {
   deadline_misses_.fetch_add(1, std::memory_order_relaxed);
   const Status miss = DeadlineError(opts_.rpc_timeout_ms);
-  if (wire_version_ >= 2 && self->sent_fully && fd_ >= 0) {
-    // v2: the request is whole on the wire and the response stream is
-    // framed per correlation id — abandon just this id. The owner
-    // deregisters it on exit, so the late response is discarded on
-    // arrival; every other in-flight RPC keeps its healthy connection.
+  if (self->sent_fully && fd_ >= 0) {
+    // The request is whole on the wire and the response stream is framed
+    // per correlation id — abandon just this id. The owner deregisters it
+    // on exit, so the late response is discarded on arrival; every other
+    // in-flight RPC keeps its healthy connection.
     self->failed = true;
     self->error = miss;
     return;
   }
-  // v1 (no ids: the next response on the stream would be misattributed)
-  // or a mid-send miss (torn frame): the stream cannot be resynced.
+  // A mid-send miss (torn frame): the stream cannot be resynced.
   CloseAndFailAllLocked(miss);
 }
 
@@ -299,7 +272,7 @@ void SocketTransport::ReadLoopLocked(MutexLock& lock, PendingRpc* self,
       Status app;
       std::string body;
       uint64_t corr = 0;
-      Status dec = DecodeResponse(payload, &app, &body, wire_version_, &corr);
+      Status dec = DecodeResponse(payload, &app, &body, &corr);
       if (!dec.ok()) {
         // The response itself is garbage: the stream cannot be trusted.
         CloseAndFailAllLocked(dec);
@@ -383,114 +356,92 @@ Status SocketTransport::ReadHandshakeResponseLocked(MutexLock& lock,
 }
 
 Status SocketTransport::HandshakeLocked(MutexLock& lock) {
-  // The Hello exchange is always v1-shaped: it happens before the
-  // version is known (net/wire.h). Exclusive access to the connection is
-  // guaranteed by connecting_, so no pending/corr machinery is involved.
-  wire_version_ = 1;
-  uint32_t advertise = kWireVersion;
-  for (int round = 0; round < 2; ++round) {
-    rpcs_.fetch_add(1, std::memory_order_relaxed);
-    FaultAction fault;
-    if (opts_.fault) fault = opts_.fault->Next();
-    const TimePoint deadline = DeadlineFromNow();
+  // The Hello exchange is id-less (net/wire.h). Exclusive access to the
+  // connection is guaranteed by connecting_, so no pending/corr machinery
+  // is involved.
+  rpcs_.fetch_add(1, std::memory_order_relaxed);
+  FaultAction fault;
+  if (opts_.fault) fault = opts_.fault->Next();
+  const TimePoint deadline = DeadlineFromNow();
 
-    if (fault.kind == FaultKind::kResetBeforeSend) {
-      CloseLocked();
-      return Status::IOError("injected fault: connection reset before send");
-    }
-    if (fault.kind == FaultKind::kDelaySend) {
-      SleepUnlocked(lock, fault.delay_micros);
-      if (fd_ < 0) return Status::IOError("connection reset during handshake");
-    }
-
-    Request hello;
-    hello.type = MsgType::kHello;
-    hello.version = advertise;
-    std::string frame = EncodeFrame(EncodeRequest(hello, /*wire_version=*/1));
-    if (fault.kind == FaultKind::kCorruptFrame) {
-      frame.back() = static_cast<char>(frame.back() ^ 0x01);
-    }
-    if (fault.kind == FaultKind::kShortWrite) {
-      const size_t limit =
-          fault.short_write_offset == UINT64_MAX
-              ? frame.size() / 2
-              : std::min<size_t>(fault.short_write_offset, frame.size());
-      (void)SendFrameLocked(lock, frame, limit, deadline);
-      CloseLocked();
-      return Status::IOError("injected fault: short write");
-    }
-
-    Status sent = SendFrameLocked(lock, frame, frame.size(), deadline);
-    if (!sent.ok()) {
-      if (IsDeadlineError(sent)) {
-        deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-      }
-      CloseLocked();
-      return sent;
-    }
-    if (fault.kind == FaultKind::kResetAfterSend) {
-      CloseLocked();
-      return Status::IOError("injected fault: connection reset after send");
-    }
-    if (fault.kind == FaultKind::kDelayRecv) {
-      SleepUnlocked(lock, fault.delay_micros);
-      if (fd_ < 0) return Status::IOError("connection reset during handshake");
-    }
-
-    std::string payload;
-    Status read = ReadHandshakeResponseLocked(lock, &payload, deadline);
-    if (!read.ok()) {
-      if (IsDeadlineError(read)) {
-        deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-      }
-      CloseLocked();
-      return read;
-    }
-    Status app;
-    std::string body;
-    Status decoded = DecodeResponse(payload, &app, &body, /*wire_version=*/1);
-    if (!decoded.ok()) {
-      CloseLocked();
-      return decoded;
-    }
-    if (!app.ok()) {
-      if (IsVersionMismatchReject(app) && advertise > kMinWireVersion) {
-        // A pre-negotiation server rejects any version but its own — and
-        // keeps the connection open after the typed reject. Downgrade to
-        // the floor and offer again (one more wire attempt).
-        advertise = kMinWireVersion;
-        continue;
-      }
-      CloseLocked();
-      return app;
-    }
-    // Negotiate: the response body carries the server's verdict as a
-    // varint — a negotiating server answers min(client, server); a
-    // pre-negotiation server echoes its own (single) version, which
-    // taking the min handles identically. An empty body is an ancient
-    // peer: treat as v1.
-    uint64_t server_version = 1;
-    if (!body.empty()) {
-      Slice in(body);
-      if (!GetVarint64(&in, &server_version) || !in.empty() ||
-          server_version == 0 || server_version > UINT32_MAX) {
-        CloseLocked();
-        return Status::Corruption("malformed hello response body");
-      }
-    }
-    wire_version_ = NegotiateWireVersion(
-        advertise, static_cast<uint32_t>(server_version));
-    if (wire_version_ < kMinWireVersion) {
-      CloseLocked();
-      return Status::InvalidArgument(
-          "wire version mismatch: negotiated v" +
-          std::to_string(wire_version_) + ", client floor v" +
-          std::to_string(kMinWireVersion));
-    }
-    return Status::OK();
+  if (fault.kind == FaultKind::kResetBeforeSend) {
+    CloseLocked();
+    return Status::IOError("injected fault: connection reset before send");
   }
-  CloseLocked();
-  return Status::InvalidArgument("wire version negotiation failed");
+  if (fault.kind == FaultKind::kDelaySend) {
+    SleepUnlocked(lock, fault.delay_micros);
+    if (fd_ < 0) return Status::IOError("connection reset during handshake");
+  }
+
+  Request hello;
+  hello.type = MsgType::kHello;
+  hello.version = kWireVersion;
+  std::string frame = EncodeFrame(EncodeRequest(hello));
+  if (fault.kind == FaultKind::kCorruptFrame) {
+    frame.back() = static_cast<char>(frame.back() ^ 0x01);
+  }
+  if (fault.kind == FaultKind::kShortWrite) {
+    const size_t limit =
+        fault.short_write_offset == UINT64_MAX
+            ? frame.size() / 2
+            : std::min<size_t>(fault.short_write_offset, frame.size());
+    (void)SendFrameLocked(lock, frame, limit, deadline);
+    CloseLocked();
+    return Status::IOError("injected fault: short write");
+  }
+
+  Status sent = SendFrameLocked(lock, frame, frame.size(), deadline);
+  if (!sent.ok()) {
+    if (IsDeadlineError(sent)) {
+      deadline_misses_.fetch_add(1, std::memory_order_relaxed);
+    }
+    CloseLocked();
+    return sent;
+  }
+  if (fault.kind == FaultKind::kResetAfterSend) {
+    CloseLocked();
+    return Status::IOError("injected fault: connection reset after send");
+  }
+  if (fault.kind == FaultKind::kDelayRecv) {
+    SleepUnlocked(lock, fault.delay_micros);
+    if (fd_ < 0) return Status::IOError("connection reset during handshake");
+  }
+
+  std::string payload;
+  Status read = ReadHandshakeResponseLocked(lock, &payload, deadline);
+  if (!read.ok()) {
+    if (IsDeadlineError(read)) {
+      deadline_misses_.fetch_add(1, std::memory_order_relaxed);
+    }
+    CloseLocked();
+    return read;
+  }
+  Status app;
+  std::string body;
+  Status decoded = DecodeHelloResponse(payload, &app, &body);
+  if (!decoded.ok()) {
+    CloseLocked();
+    return decoded;
+  }
+  if (!app.ok()) {
+    CloseLocked();
+    return app;
+  }
+  // A server that accepted the Hello answers with its own version.
+  Slice in(body);
+  uint64_t server_version = 0;
+  if (!GetVarint64(&in, &server_version) || !in.empty()) {
+    CloseLocked();
+    return Status::Corruption("malformed hello response body");
+  }
+  if (server_version != kWireVersion) {
+    CloseLocked();
+    return Status::InvalidArgument(
+        "wire version mismatch: server speaks v" +
+        std::to_string(server_version) + ", client speaks v" +
+        std::to_string(kWireVersion));
+  }
+  return Status::OK();
 }
 
 Status SocketTransport::ReconnectLocked(MutexLock& lock) {
@@ -531,11 +482,6 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
       return out;
     }
     if (fd_ < 0) {
-      if (!opts_.auto_reconnect) {
-        out.permanent = true;
-        out.error = Status::IOError("transport closed");
-        return out;
-      }
       // Reconnect only once the dead connection's RPCs have drained —
       // their owners wake immediately (CloseAndFailAll marked them) and
       // deregister, so this is a brief window, not a stall.
@@ -552,7 +498,7 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
         continue;  // re-evaluate admission on the fresh connection
       }
     } else if (!connecting_ && !sender_active_ &&
-               inflight_ < EffectiveMaxInflightLocked()) {
+               inflight_ < std::max(1, opts_.max_inflight)) {
       break;  // admitted
     }
     if (deadline == TimePoint::max()) {
@@ -571,7 +517,7 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
   sender_active_ = true;
   ++inflight_;
   PendingRpc rpc;
-  rpc.corr = wire_version_ >= 2 ? next_corr_++ : 0;
+  rpc.corr = next_corr_++;
   req->corr_id = rpc.corr;
   pending_[rpc.corr] = &rpc;
   rpcs_.fetch_add(1, std::memory_order_relaxed);
@@ -587,7 +533,7 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
       SleepUnlocked(lock, fault.delay_micros);
     }
     if (!rpc.failed && fd_ >= 0) {
-      std::string frame = EncodeFrame(EncodeRequest(*req, wire_version_));
+      std::string frame = EncodeFrame(EncodeRequest(*req));
       if (fault.kind == FaultKind::kCorruptFrame) {
         // Flip a payload byte (never the length varint, which could
         // leave the server waiting forever): the digest check rejects
@@ -596,17 +542,14 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
       }
       if (fault.kind == FaultKind::kShortWrite) {
         // A torn frame can never execute — the length prefix promises
-        // bytes that will not come — so a mid-frame tear is provably not
-        // executed whatever the send outcome. The scripted offset pins
-        // the tear exactly; an offset at (or clamped to) the full frame
-        // size delivered everything and must classify as a lost ack, not
-        // a torn send.
+        // bytes that will not come. The scripted offset pins the tear
+        // exactly; an offset at (or clamped to) the full frame size
+        // delivered everything, which makes it a lost ack instead.
         const size_t limit =
             fault.short_write_offset == UINT64_MAX
                 ? frame.size() / 2
                 : std::min<size_t>(fault.short_write_offset, frame.size());
-        const Status sent = SendFrameLocked(lock, frame, limit, deadline);
-        if (sent.ok() && limit == frame.size()) rpc.sent_fully = true;
+        (void)SendFrameLocked(lock, frame, limit, deadline);
         CloseAndFailAllLocked(Status::IOError("injected fault: short write"));
       } else {
         Status sent = SendFrameLocked(lock, frame, frame.size(), deadline);
@@ -656,26 +599,13 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
     }
   }
 
-  // --- deregister and classify ---------------------------------------
+  // --- deregister ------------------------------------------------------
   pending_.erase(rpc.corr);
   --inflight_;
   cv_.notify_all();
 
   if (rpc.failed) {
-    out.kind = rpc.sent_fully ? AttemptResult::Kind::kAmbiguous
-                              : AttemptResult::Kind::kNotExecuted;
     out.error = std::move(rpc.error);
-    return out;
-  }
-  if (IsBadFrameReject(rpc.app)) {
-    // The server rejected the frame without executing it and is about to
-    // drop the connection; beat it to the close so the next attempt
-    // starts on a fresh dial. (Everything else in flight fails with it —
-    // a garbled stream has no per-id blast radius.)
-    CloseAndFailAllLocked(
-        Status::IOError("connection dropped after server frame reject"));
-    out.kind = AttemptResult::Kind::kNotExecuted;
-    out.error = std::move(rpc.app);
     return out;
   }
   if (rpc.app.IsResourceExhausted() && !IsDegradedReject(rpc.app)) {
@@ -686,11 +616,10 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
     // retrying against a read-only server is a hang with extra steps.
     CloseAndFailAllLocked(
         Status::IOError("connection dropped after overload reject"));
-    out.kind = AttemptResult::Kind::kNotExecuted;
     out.error = std::move(rpc.app);
     return out;
   }
-  out.kind = AttemptResult::Kind::kResponded;
+  out.responded = true;
   out.app = std::move(rpc.app);
   out.body = std::move(rpc.body);
   return out;
@@ -722,15 +651,14 @@ Result<std::string> SocketTransport::CallIdempotent(Request* req) {
       BackoffSleep(attempt);
     }
     AttemptResult r = CallOnce(req);
-    if (r.kind == AttemptResult::Kind::kResponded) {
+    if (r.responded) {
       if (!r.app.ok()) return r.app;
       return std::move(r.body);
     }
     last = std::move(r.error);
-    // The whole surface routed through here is idempotent (reads, plus
-    // content-addressed writes a replay re-stores byte-identically), so
-    // both not-executed and ambiguous attempts are safe to replay.
-    if (r.permanent || !opts_.auto_reconnect) return last;
+    // An explicit Close(), or a one-attempt policy ("no retry"): the wire
+    // error itself is the answer.
+    if (r.permanent || max_attempts == 1) return last;
   }
   return Status::Unavailable("retry policy exhausted after " +
                              std::to_string(max_attempts) +
@@ -854,89 +782,6 @@ void SocketTransport::DeliverPush(const NodeBatch& pushed) {
   pushed_bytes_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
-Result<std::optional<PublishResult>> SocketTransport::CheckPublishApplied(
-    const PublishRequest& pub) {
-  // Reconstruct the content commit the server builds for this request
-  // (version/occ.cc): root + [expected_head] + author/message, sequence =
-  // parent.sequence + 1 (0 for a branch creation). Commits are
-  // content-addressed, so its digest is decidable client-side.
-  Commit want;
-  want.root = pub.new_root;
-  want.author = pub.author;
-  want.message = pub.message;
-  if (pub.expected_head.has_value()) {
-    want.parents.push_back(*pub.expected_head);
-    Request preq;
-    preq.type = MsgType::kGet;
-    preq.hash = *pub.expected_head;
-    auto parent_bytes = CallIdempotent(&preq);
-    if (!parent_bytes.ok()) return parent_bytes.status();
-    auto parent = Commit::Decode(*parent_bytes);
-    if (!parent.ok()) return parent.status();
-    want.sequence = parent->sequence + 1;
-  }
-  const Hash target = Sha256::Digest(want.Encode());
-
-  Request hreq;
-  hreq.type = MsgType::kHead;
-  hreq.branch = pub.branch;
-  auto head_body = CallIdempotent(&hreq);
-  if (!head_body.ok()) {
-    if (head_body.status().IsNotFound()) {
-      // No branch, no commit: a creation publish did not land and a
-      // publish onto a since-deleted branch certainly did not.
-      return std::optional<PublishResult>();
-    }
-    return head_body.status();
-  }
-  Slice in(*head_body);
-  Hash head;
-  if (!GetHash(&in, &head) || !in.empty()) {
-    return Status::Corruption("head body");
-  }
-
-  // Walk the DAG from the head looking for the target digest. Parents
-  // carry strictly smaller sequence numbers than their children, so any
-  // node at or below the target's sequence that is not the target itself
-  // cannot have the target in its ancestry — prune there. NOTE: a mere
-  // Contains(target) would NOT do: an orphaned commit object (written,
-  // lost the CAS, never merged) lives in the content-addressed store
-  // without being history, and mistaking it for "applied" loses an acked
-  // update.
-  std::deque<Hash> frontier{head};
-  std::set<std::string> visited{head.ToHex()};
-  size_t budget = kPublishResolveBudget;
-  while (!frontier.empty()) {
-    const Hash h = frontier.front();
-    frontier.pop_front();
-    if (h == target) {
-      PublishResult out;
-      out.head = head;
-      out.commit = target;
-      return std::optional<PublishResult>(out);
-    }
-    if (budget == 0) {
-      return Status::Unavailable(
-          "publish resolution budget exhausted walking branch '" + pub.branch +
-          "'; cannot prove whether the publish applied");
-    }
-    --budget;
-    Request creq;
-    creq.type = MsgType::kGet;
-    creq.hash = h;
-    auto bytes = CallIdempotent(&creq);
-    if (!bytes.ok()) return bytes.status();
-    auto c = Commit::Decode(*bytes);
-    if (!c.ok()) return c.status();
-    if (c->sequence > want.sequence) {
-      for (const Hash& p : c->parents) {
-        if (visited.insert(p.ToHex()).second) frontier.push_back(p);
-      }
-    }
-  }
-  return std::optional<PublishResult>();  // provably absent: replay is safe
-}
-
 Result<PublishResult> SocketTransport::Publish(const PublishRequest& pub) {
   Request req;
   req.type = MsgType::kPublish;
@@ -946,55 +791,22 @@ Result<PublishResult> SocketTransport::Publish(const PublishRequest& pub) {
   req.author = pub.author;
   req.message = pub.message;
   req.expected_head = pub.expected_head;
-  // Cache push is v2-only on the wire; setting the flag on a v1
-  // connection is harmless (it is simply not encoded), so no lock here.
   req.want_push = opts_.cache_push;
-
-  const int max_attempts = std::max(1, opts_.retry.max_attempts);
-  Status last = Status::IOError("no wire attempt made");
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    if (attempt > 0) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      BackoffSleep(attempt);
-    }
-    AttemptResult r = CallOnce(&req);
-    if (r.kind == AttemptResult::Kind::kResponded) {
-      if (!r.app.ok()) return r.app;
-      WirePublishResult wire;
-      Status decoded =
-          DecodePublishResultBody(r.body, &wire, negotiated_wire_version());
-      if (!decoded.ok()) return decoded;
-      DeliverPush(wire.pushed);
-      PublishResult out;
-      out.head = wire.head;
-      out.commit = wire.commit;
-      out.cas_failures = wire.cas_failures;
-      out.merge_commits = wire.merge_commits;
-      return out;
-    }
-    last = std::move(r.error);
-    if (r.permanent || !opts_.auto_reconnect) return last;
-    if (r.kind == AttemptResult::Kind::kAmbiguous) {
-      // Lost ack: the publish may have applied. Blind replay would land a
-      // duplicate (degenerate merge) commit, so resolve by inspecting the
-      // branch head first; only a *proven* not-applied is replayed.
-      //
-      // One inspection is not proof: the server executes a fully-received
-      // frame when a worker drains the (now dead) connection, which races
-      // an immediate head check — "absent" taken too early would replay a
-      // publish that is just about to apply. Demand two agreeing absent
-      // verdicts a backoff apart before falling through to the replay.
-      for (int probe = 0; probe < 2; ++probe) {
-        auto resolved = CheckPublishApplied(pub);
-        if (!resolved.ok()) return resolved.status();
-        if (resolved->has_value()) return **resolved;
-        if (probe == 0) BackoffSleep(attempt + 1);
-      }
-    }
-  }
-  return Status::Unavailable("publish retry policy exhausted after " +
-                             std::to_string(max_attempts) +
-                             " attempts; last: " + last.ToString());
+  // A lost ack is replayed like any other failed attempt: the server acks
+  // a publish whose content commit already landed without executing it
+  // again (see "Exactly-once" in the header).
+  auto body = CallIdempotent(&req);
+  if (!body.ok()) return body.status();
+  WirePublishResult wire;
+  Status decoded = DecodePublishResultBody(*body, &wire);
+  if (!decoded.ok()) return decoded;
+  DeliverPush(wire.pushed);
+  PublishResult out;
+  out.head = wire.head;
+  out.commit = wire.commit;
+  out.cas_failures = wire.cas_failures;
+  out.merge_commits = wire.merge_commits;
+  return out;
 }
 
 Result<BranchStats> SocketTransport::GetBranchStats(const std::string& branch) {

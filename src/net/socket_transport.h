@@ -3,16 +3,14 @@
 // SocketTransport — the Transport implementation that talks to a
 // siri-server process over TCP.
 //
-// Pipelining. Under wire v2 (negotiated at Hello — a v1 peer on either
-// side degrades the connection to the legacy one-outstanding protocol)
-// the transport keeps up to Options::max_inflight RPCs outstanding on the
-// one connection. Each wire attempt carries a fresh correlation id;
-// responses are matched by id, so caller threads' RPCs overlap on the
-// wire instead of queuing behind each other's round trips. Internally:
-// one *sender* at a time owns the write side (frames never interleave),
-// and whichever waiting thread finds the read side free becomes the
-// *reader*, dispatching every decoded response to its waiter by id until
-// its own arrives, then handing the role to another waiter.
+// Pipelining. The transport keeps up to Options::max_inflight RPCs
+// outstanding on the one connection. Each wire attempt carries a fresh
+// correlation id; responses are matched by id, so caller threads' RPCs
+// overlap on the wire instead of queuing behind each other's round trips.
+// Internally: one *sender* at a time owns the write side (frames never
+// interleave), and whichever waiting thread finds the read side free
+// becomes the *reader*, dispatching every decoded response to its waiter
+// by id until its own arrives, then handing the role to another waiter.
 //
 // Where InProcessTransport *simulates* its round trip, this transport
 // *measures* it: stats() reports real serialized bytes and real
@@ -24,32 +22,22 @@
 // from the same deadline, so a server that dribbles one byte per poll
 // interval still times out on schedule. Retry backoff sleeps between
 // attempts are NOT counted against it: each attempt starts a fresh
-// budget. A v2 attempt that misses its deadline after its frame was
-// fully sent abandons just its own correlation id (the connection — and
-// every other in-flight RPC on it — stays healthy; the late response is
-// discarded on arrival); a v1 miss, or a miss mid-send, must close the
-// connection, because an un-abandoned stream position cannot be resynced.
+// budget. An attempt that misses its deadline after its frame was fully
+// sent abandons just its own correlation id (the connection — and every
+// other in-flight RPC on it — stays healthy; the late response is
+// discarded on arrival); a miss mid-send must close the connection,
+// because a torn stream position cannot be resynced.
 //
-// Resilience. When the wire fails, a capped-exponential RetryPolicy with
-// automatic reconnect + fresh Hello handshake replays the RPC. The retry
-// layer classifies each failed wire attempt *per correlation id* before
-// replaying:
-//
-//   not executed — nothing sent, a torn frame (the length prefix makes the
-//     server wait for bytes that never come), a server frame-reject
-//     ("bad frame: ...", see net/wire.h), or a ResourceExhausted overload
-//     reject. Safe to replay any request, including Publish.
-//   ambiguous — the full frame left the socket but no clean response came
-//     back (lost ack — including a connection torn by ANOTHER RPC's fault
-//     while ours was awaiting its response). Safe to replay only the
-//     idempotent surface (Get/Contains/SizeOf/Put/PutMany/Flush are
-//     content-addressed: a replay re-stores identical bytes under
-//     identical digests). Publish is NOT blindly replayed: the transport
-//     resolves the ambiguity by head inspection — it computes the
-//     content-commit digest the server would have written and walks the
-//     branch DAG (sequence-pruned, bounded) to prove the publish either
-//     applied (return success with that commit) or did not (replay is
-//     then safe).
+// Exactly-once. When the wire fails, a capped-exponential RetryPolicy
+// with automatic reconnect + fresh Hello handshake replays the RPC — any
+// RPC, Publish included. The node surface is content-addressed: a replay
+// re-stores identical bytes under identical digests. A Publish replay is
+// deduped by the server: the content commit a publish writes is
+// deterministic in (root, expected head, author, message), and a publish
+// whose content commit is already reachable from the branch head is acked
+// with that landing instead of executing again (CommitAlreadyApplied in
+// version/occ.h). So a lost ack costs one reconnect and one replay, never
+// a duplicate commit.
 //
 // When the policy is exhausted without an answer the RPC fails with a
 // typed Status::Unavailable — "the op may not have run" — never with a
@@ -57,13 +45,13 @@
 // Options::fault (net/fault.h); every wire exchange, handshakes included,
 // consumes one injector index.
 //
-// Cache push. With Options::cache_push set (and v2 negotiated), Publish
-// requests ask the server to attach the publish's staged batch — merged
-// index pages and commit objects, exactly the nodes a losing committer
-// re-reads next round — to the ack. Pushed nodes are re-digested
-// client-side (the socket is a trust boundary; a mismatched record is
-// dropped, never cached) and handed to the sink installed with
-// SetPushSink (ForkbaseClientStore write-allocates them into NodeCache).
+// Cache push. With Options::cache_push set, Publish requests ask the
+// server to attach the publish's staged batch — merged index pages and
+// commit objects, exactly the nodes a losing committer re-reads next
+// round — to the ack. Pushed nodes are re-digested client-side (the
+// socket is a trust boundary; a mismatched record is dropped, never
+// cached) and handed to the sink installed with SetPushSink
+// (ForkbaseClientStore write-allocates them into NodeCache).
 
 #ifndef SIRI_NET_SOCKET_TRANSPORT_H_
 #define SIRI_NET_SOCKET_TRANSPORT_H_
@@ -91,7 +79,9 @@ namespace net {
 /// backoff_init_ms * 2^(k-1), capped at backoff_max_ms, jittered to
 /// [delay/2, delay] so a fleet of clients does not retry in lockstep.
 struct RetryPolicy {
-  int max_attempts = 5;     ///< total wire attempts per RPC (1 = no retry)
+  /// Total wire attempts per RPC. 1 = no retry: a failed attempt returns
+  /// its own wire error rather than Unavailable.
+  int max_attempts = 5;
   int backoff_init_ms = 10;
   int backoff_max_ms = 500;
   uint64_t jitter_seed = 0x5eedu;  ///< per-transport jitter stream seed
@@ -110,17 +100,12 @@ class SocketTransport : public Transport {
     /// stats().deadline_misses) and retried under the policy; backoff
     /// sleeps between attempts start a fresh budget. 0 = none.
     int rpc_timeout_ms = 30000;
-    /// Re-dial + fresh handshake when the connection is lost mid-policy.
-    /// Off = any wire failure surfaces immediately (legacy behavior); an
-    /// explicit Close() always sticks regardless.
-    bool auto_reconnect = true;
     /// RPCs outstanding on the connection at once (request pipelining).
-    /// Effective only once the Hello negotiates wire v2; a v1 peer keeps
-    /// the one-outstanding protocol regardless. Clamped to >= 1.
+    /// Clamped to >= 1.
     int max_inflight = 8;
     /// Ask the server to attach combined-publish staged batches to
-    /// Publish acks (combiner-aware cache push, wire v2 only). Off by
-    /// default so baseline bench rows stay reproducible.
+    /// Publish acks (combiner-aware cache push). Off by default so
+    /// baseline bench rows stay reproducible.
     bool cache_push = false;
     RetryPolicy retry;
     /// Optional deterministic saboteur for chaos tests and the chaos
@@ -129,12 +114,11 @@ class SocketTransport : public Transport {
   };
 
   /// Connects to 127.0.0.1:\p port (or \p host) and runs the Hello
-  /// version handshake (negotiating the wire version — see
-  /// net/wire.h); a non-siri server fails here, not on the first real
-  /// RPC. Transient handshake failures (IO, overload) are retried under
-  /// the policy; typed application rejects fail fast, except the
-  /// version-mismatch reject of a pre-negotiation server, which triggers
-  /// one downgrade retry at kMinWireVersion.
+  /// version handshake (net/wire.h); a non-siri server fails here, not
+  /// on the first real RPC. Transient handshake failures (IO, overload)
+  /// are retried under the policy; typed application rejects — a server
+  /// speaking another wire version above all ("wire version mismatch")
+  /// — fail fast, with no retry.
   [[nodiscard]] static Status Connect(const std::string& host, int port,
                                       std::shared_ptr<SocketTransport>* out,
                                       Options opts);
@@ -169,9 +153,6 @@ class SocketTransport : public Transport {
   /// digest-verified.
   void SetPushSink(PushSink sink) override;
 
-  /// The wire version the last Hello negotiated (1 until connected).
-  uint32_t negotiated_wire_version() const EXCLUDES(mu_);
-
   /// Closes the connection permanently; every later RPC fails with
   /// IOError (no reconnect — an explicit Close is an instruction, not a
   /// fault). Safe to call concurrently with RPCs.
@@ -185,7 +166,9 @@ class SocketTransport : public Transport {
   /// until the owner deregisters it.
   struct PendingRpc {
     uint64_t corr = 0;
-    bool sent_fully = false;  ///< the ambiguity boundary for this id
+    /// The whole frame left the socket: a deadline miss can abandon just
+    /// this id instead of closing the connection.
+    bool sent_fully = false;
     bool done = false;        ///< response arrived (app/body valid)
     bool failed = false;      ///< transport-level failure (error valid)
     Status app;
@@ -193,25 +176,19 @@ class SocketTransport : public Transport {
     Status error;
   };
 
-  /// One failed-or-succeeded wire attempt, classified for the retry layer.
+  /// One wire attempt's outcome, for the retry layer.
   struct AttemptResult {
-    enum class Kind {
-      kResponded,    ///< clean response: `app` (+ `body` when app.ok())
-      kNotExecuted,  ///< server provably never ran it — replay anything
-      kAmbiguous,    ///< frame fully sent, no clean response — lost ack
-    };
-    Kind kind = Kind::kNotExecuted;
-    Status app;        ///< application status (kResponded)
-    std::string body;  ///< response body (kResponded && app.ok())
-    Status error;      ///< transport error (kNotExecuted / kAmbiguous)
-    /// Explicitly Close()d (or reconnect disabled): fail fast, no retry.
+    bool responded = false;  ///< a clean response arrived
+    Status app;              ///< application status (responded)
+    std::string body;        ///< response body (responded && app.ok())
+    Status error;            ///< transport error (!responded): replayable
+    /// Explicitly Close()d: fail fast, no retry.
     bool permanent = false;
   };
 
   SocketTransport(std::string host, int port, int fd, Options opts);
 
   TimePoint DeadlineFromNow() const;
-  int EffectiveMaxInflightLocked() const REQUIRES(mu_);
 
   /// Fails every in-flight RPC with \p error, closes the fd, resets the
   /// decoder, and bumps the connection epoch. Each waiter classifies its
@@ -249,26 +226,26 @@ class SocketTransport : public Transport {
                                      TimePoint deadline)
       NO_THREAD_SAFETY_ANALYSIS;
 
-  /// A deadline miss for \p self: under v2 with the frame fully sent the
-  /// single correlation id is abandoned (connection stays up, late
-  /// response discarded); otherwise the stream position is lost and the
-  /// connection closes, failing everything in flight.
+  /// A deadline miss for \p self: with the frame fully sent the single
+  /// correlation id is abandoned (connection stays up, late response
+  /// discarded); otherwise the stream position is lost and the connection
+  /// closes, failing everything in flight.
   void HandleDeadlineMissLocked(PendingRpc* self) REQUIRES(mu_);
 
-  /// Hello on a freshly dialed fd_ + version negotiation (shares the
+  /// Hello on a freshly dialed fd_ + version check (shares the
   /// fault/deadline machinery; one injector index per hello attempt).
   Status HandshakeLocked(MutexLock& lock) REQUIRES(mu_);
   /// Re-dial + handshake; bumps stats().reconnects on success. Caller
   /// must have set connecting_.
   Status ReconnectLocked(MutexLock& lock) REQUIRES(mu_);
 
-  /// One classified attempt: admission (slot + sender token), connect if
-  /// needed, send, await the matching response. \p req->corr_id is
-  /// assigned here.
+  /// One attempt: admission (slot + sender token), connect if needed,
+  /// send, await the matching response. \p req->corr_id is assigned
+  /// here.
   AttemptResult CallOnce(Request* req) EXCLUDES(mu_);
 
-  /// Full retry loop for the idempotent surface: replays on both
-  /// not-executed and ambiguous failures, Unavailable after exhaustion.
+  /// The retry loop every RPC runs through: replays any failed attempt
+  /// (see "Exactly-once" above), Unavailable after exhaustion.
   Result<std::string> CallIdempotent(Request* req) EXCLUDES(mu_);
 
   /// Sleeps the jittered backoff before wire attempt \p attempt (>= 1).
@@ -277,13 +254,6 @@ class SocketTransport : public Transport {
   /// Digest-verifies \p pushed (dropping mismatches) and hands the
   /// surviving records to the push sink; counts stats().pushed_*.
   void DeliverPush(const NodeBatch& pushed) EXCLUDES(mu_);
-
-  /// Resolves an ambiguous publish by head inspection. ok(value) = the
-  /// publish applied (value is the result to return); ok(nullopt) = it
-  /// provably did not apply (replay is safe); error = undecidable within
-  /// budget (Unavailable) or the inspection itself failed.
-  Result<std::optional<PublishResult>> CheckPublishApplied(
-      const PublishRequest& pub) EXCLUDES(mu_);
 
   const Options opts_;
   const std::string host_;
@@ -295,7 +265,6 @@ class SocketTransport : public Transport {
   bool closed_ GUARDED_BY(mu_) = false;  ///< explicit Close(): no reconnect
   FrameDecoder decoder_ GUARDED_BY(mu_);
   Rng jitter_rng_ GUARDED_BY(mu_);
-  uint32_t wire_version_ GUARDED_BY(mu_) = 1;  ///< negotiated at Hello
   /// Bumped on every close; stale-epoch observers know their attempt was
   /// failed for them while they slept.
   uint64_t conn_epoch_ GUARDED_BY(mu_) = 0;

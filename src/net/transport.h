@@ -87,7 +87,7 @@ class Transport {
     uint64_t retries = 0;          ///< wire attempts beyond the first, per RPC
     uint64_t reconnects = 0;       ///< re-dial + fresh handshake cycles
     uint64_t deadline_misses = 0;  ///< attempts abandoned at the RPC deadline
-    // Combiner-aware cache push (socket transports, wire v2, opt-in):
+    // Combiner-aware cache push (socket transports, opt-in):
     // nodes a Publish ack carried back and the push sink accepted — each
     // one a Get round trip a losing committer no longer pays.
     uint64_t pushed_nodes = 0;

@@ -37,12 +37,12 @@ bool GetHash(Slice* in, Hash* h) {
   return true;
 }
 
-std::string EncodeRequest(const Request& req, uint32_t wire_version) {
+std::string EncodeRequest(const Request& req) {
   std::string out;
   out.push_back(static_cast<char>(req.type));
-  // v2 pipelining: every request but the pre-negotiation Hello opens with
-  // the correlation id its response must echo.
-  if (wire_version >= 2 && req.type != MsgType::kHello) {
+  // Every request but the id-less Hello opens with the correlation id its
+  // response must echo.
+  if (req.type != MsgType::kHello) {
     PutVarint64(&out, req.corr_id);
   }
   switch (req.type) {
@@ -76,7 +76,7 @@ std::string EncodeRequest(const Request& req, uint32_t wire_version) {
       PutLengthPrefixed(&out, req.message);
       out.push_back(req.expected_head.has_value() ? 1 : 0);
       if (req.expected_head.has_value()) PutHash(&out, *req.expected_head);
-      if (wire_version >= 2) out.push_back(req.want_push ? 1 : 0);
+      out.push_back(req.want_push ? 1 : 0);
       break;
     case MsgType::kFlush:
     case MsgType::kStoreStats:
@@ -89,13 +89,13 @@ std::string EncodeRequest(const Request& req, uint32_t wire_version) {
   return out;
 }
 
-Status DecodeRequest(Slice payload, Request* out, uint32_t wire_version) {
+Status DecodeRequest(Slice payload, Request* out) {
   if (payload.empty()) return Malformed("empty payload");
   const uint8_t type = static_cast<uint8_t>(payload[0]);
   payload.remove_prefix(1);
   *out = Request{};
   out->type = static_cast<MsgType>(type);
-  if (wire_version >= 2 && out->type != MsgType::kHello) {
+  if (out->type != MsgType::kHello) {
     if (!GetVarint64(&payload, &out->corr_id)) {
       return Malformed("correlation id");
     }
@@ -160,13 +160,11 @@ Status DecodeRequest(Slice payload, Request* out, uint32_t wire_version) {
         if (!GetHash(&payload, &h)) return Malformed("publish expected head");
         out->expected_head = h;
       }
-      if (wire_version >= 2) {
-        if (payload.empty()) return Malformed("publish want-push flag");
-        const uint8_t want = static_cast<uint8_t>(payload[0]);
-        payload.remove_prefix(1);
-        if (want > 1) return Malformed("publish want-push flag");
-        out->want_push = want != 0;
-      }
+      if (payload.empty()) return Malformed("publish want-push flag");
+      const uint8_t want = static_cast<uint8_t>(payload[0]);
+      payload.remove_prefix(1);
+      if (want > 1) return Malformed("publish want-push flag");
+      out->want_push = want != 0;
       break;
     }
     case MsgType::kFlush:
@@ -216,26 +214,29 @@ bool IsDegradedReject(const Status& s) {
              0;
 }
 
-std::string EncodeResponse(const Status& app, Slice body,
-                           uint32_t wire_version, uint64_t corr_id) {
+namespace {
+
+// Every response shares one layout; the Hello form just omits the id.
+std::string EncodeResponseImpl(const Status& app, Slice body, bool has_corr,
+                               uint64_t corr_id) {
   std::string out;
   out.push_back(static_cast<char>(MsgType::kResponse));
-  if (wire_version >= 2) PutVarint64(&out, corr_id);
+  if (has_corr) PutVarint64(&out, corr_id);
   out.push_back(static_cast<char>(app.code()));
   PutLengthPrefixed(&out, app.message());
   out.append(body.data(), body.size());
   return out;
 }
 
-Status DecodeResponse(Slice payload, Status* app, std::string* body,
-                      uint32_t wire_version, uint64_t* corr_id) {
+Status DecodeResponseImpl(Slice payload, Status* app, std::string* body,
+                          bool has_corr, uint64_t* corr_id) {
   if (payload.empty() ||
       static_cast<MsgType>(payload[0]) != MsgType::kResponse) {
     return Malformed("not a response");
   }
   payload.remove_prefix(1);
   uint64_t corr = 0;
-  if (wire_version >= 2 && !GetVarint64(&payload, &corr)) {
+  if (has_corr && !GetVarint64(&payload, &corr)) {
     return Malformed("response correlation id");
   }
   if (corr_id != nullptr) *corr_id = corr;
@@ -251,47 +252,60 @@ Status DecodeResponse(Slice payload, Status* app, std::string* body,
   return Status::OK();
 }
 
-std::string EncodePublishResultBody(const WirePublishResult& r,
-                                    uint32_t wire_version) {
+}  // namespace
+
+std::string EncodeResponse(const Status& app, Slice body, uint64_t corr_id) {
+  return EncodeResponseImpl(app, body, /*has_corr=*/true, corr_id);
+}
+
+Status DecodeResponse(Slice payload, Status* app, std::string* body,
+                      uint64_t* corr_id) {
+  return DecodeResponseImpl(payload, app, body, /*has_corr=*/true, corr_id);
+}
+
+std::string EncodeHelloResponse(const Status& app, Slice body) {
+  return EncodeResponseImpl(app, body, /*has_corr=*/false, 0);
+}
+
+Status DecodeHelloResponse(Slice payload, Status* app, std::string* body) {
+  return DecodeResponseImpl(payload, app, body, /*has_corr=*/false, nullptr);
+}
+
+std::string EncodePublishResultBody(const WirePublishResult& r) {
   std::string out;
   PutHash(&out, r.head);
   PutHash(&out, r.commit);
   PutVarint64(&out, r.cas_failures);
   PutVarint64(&out, r.merge_commits);
-  if (wire_version >= 2) {
-    PutVarint64(&out, r.pushed.size());
-    for (const NodeRecord& rec : r.pushed) {
-      PutHash(&out, rec.hash);
-      PutLengthPrefixed(&out, *rec.bytes);
-    }
+  PutVarint64(&out, r.pushed.size());
+  for (const NodeRecord& rec : r.pushed) {
+    PutHash(&out, rec.hash);
+    PutLengthPrefixed(&out, *rec.bytes);
   }
   return out;
 }
 
-Status DecodePublishResultBody(Slice body, WirePublishResult* r,
-                               uint32_t wire_version) {
+Status DecodePublishResultBody(Slice body, WirePublishResult* r) {
   if (!GetHash(&body, &r->head) || !GetHash(&body, &r->commit) ||
       !GetVarint64(&body, &r->cas_failures) ||
       !GetVarint64(&body, &r->merge_commits)) {
     return Malformed("publish result");
   }
   r->pushed.clear();
-  if (wire_version >= 2) {
-    uint64_t count = 0;
-    if (!GetVarint64(&body, &count)) return Malformed("push count");
-    // Each pushed record needs at least a digest + a length byte, so an
-    // honest count never exceeds the remaining bytes.
-    if (count > body.size()) return Malformed("push count");
-    r->pushed.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      NodeRecord rec;
-      std::string bytes;
-      if (!GetHash(&body, &rec.hash) || !GetLengthPrefixed(&body, &bytes)) {
-        return Malformed("pushed record");
-      }
-      rec.bytes = std::make_shared<const std::string>(std::move(bytes));
-      r->pushed.push_back(std::move(rec));
+  uint64_t count = 0;
+  if (!GetVarint64(&body, &count)) return Malformed("push count");
+  // Each pushed record needs at least a digest + a length byte, so an
+  // honest count never exceeds the remaining bytes.
+  if (count > body.size()) return Malformed("push count");
+  r->pushed.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    NodeRecord rec;
+    std::string bytes;
+    if (!GetHash(&body, &rec.hash) || !GetLengthPrefixed(&body, &bytes)) {
+      return Malformed("pushed record");
     }
+    rec.bytes = std::make_shared<const std::string>(std::move(bytes));
+    r->pushed.push_back(std::move(rec));
   }
   return CheckDrained(body);
 }

@@ -19,20 +19,19 @@
 // a status code + message first, then a body the requester interprets by
 // the type of the call it made.
 //
-// Pipelining (wire v2). A v1 connection allows one outstanding request.
-// Under v2 — negotiated at Hello, see below — every non-Hello request
-// carries a varint correlation id right after the type byte, and every
-// non-Hello response echoes it, so a client may keep several requests in
-// flight on one connection and match responses out of band (the server
-// answers in order; the ids make abandoning one RPC, e.g. on a deadline
-// miss, safe without desynchronizing the stream). The Hello exchange
-// itself is always v1-shaped: it happens before the version is known.
+// Pipelining. Every non-Hello request carries a varint correlation id
+// right after the type byte, and every non-Hello response echoes it, so a
+// client may keep several requests in flight on one connection and match
+// responses out of band (the server answers in order; the ids make
+// abandoning one RPC, e.g. on a deadline miss, safe without
+// desynchronizing the stream).
 //
-// Version negotiation. The client's Hello carries the highest version it
-// speaks; the server answers with min(client, server) in the response
-// body and both sides speak that version from the next frame on. A v1
-// peer on either side therefore degrades the connection to the v1
-// one-outstanding, no-correlation-id, no-cache-push wire format.
+// Version handshake. A connection opens with a Hello carrying the
+// client's kWireVersion. The Hello exchange has no correlation id in
+// either direction — that fixed layout is what lets any build, older or
+// newer, read a peer's version. A server answers a matching version with
+// its own version as a varint body; any other version gets a typed
+// InvalidArgument ("wire version mismatch ...") and the connection closes.
 
 #ifndef SIRI_NET_WIRE_H_
 #define SIRI_NET_WIRE_H_
@@ -52,16 +51,10 @@
 namespace siri {
 namespace net {
 
-/// Highest protocol version this build speaks; the Hello handshake
-/// negotiates min(client, server) so skewed peers interoperate at the
-/// older version instead of failing. v1 = one-outstanding-RPC frames;
-/// v2 adds per-frame correlation ids (request pipelining) and the
-/// combiner-aware cache push on Publish acks.
+/// The one protocol version this build speaks: per-frame correlation ids
+/// (request pipelining) and the combiner-aware cache push on Publish
+/// acks. A Hello advertising anything else is rejected, typed.
 constexpr uint32_t kWireVersion = 2;
-
-/// Oldest version still served. A Hello below this fails with a typed
-/// InvalidArgument instead of negotiating.
-constexpr uint32_t kMinWireVersion = 1;
 
 /// Frames larger than this are rejected as corrupt before any allocation:
 /// an honest PutMany of a staged commit is a few MB, so a length beyond
@@ -89,7 +82,7 @@ enum class MsgType : uint8_t {
 struct Request {
   MsgType type = MsgType::kHello;
   uint32_t version = kWireVersion;       ///< kHello
-  /// Pipelining correlation id (v2, every type but kHello): echoed on the
+  /// Pipelining correlation id (every type but kHello): echoed on the
   /// response so a client with several RPCs in flight matches them up.
   uint64_t corr_id = 0;
   Hash hash;                             ///< kGet / kContains / kSizeOf
@@ -101,49 +94,38 @@ struct Request {
   std::string author;                    ///< kPublish
   std::string message;                   ///< kPublish
   std::optional<Hash> expected_head;     ///< kPublish
-  /// kPublish, v2: client asks the server to attach the publish's staged
-  /// batch to the ack (combiner-aware cache push). Ignored under v1.
-  bool want_push = false;                ///< kPublish (v2)
+  /// kPublish: client asks the server to attach the publish's staged
+  /// batch to the ack (combiner-aware cache push).
+  bool want_push = false;                ///< kPublish
 };
 
-/// Serializes \p req into a frame payload (not yet framed), in the
-/// \p wire_version dialect the connection negotiated. kHello is encoded
-/// identically under every version (it precedes negotiation).
-std::string EncodeRequest(const Request& req,
-                          uint32_t wire_version = kWireVersion);
+/// Serializes \p req into a frame payload (not yet framed).
+std::string EncodeRequest(const Request& req);
 
-/// Parses a frame payload into \p out, expecting the \p wire_version
-/// dialect. Corruption on anything that does not decode exactly (unknown
-/// type, short body, trailing garbage) — the connection that produced it
-/// must be dropped.
-[[nodiscard]] Status DecodeRequest(Slice payload, Request* out,
-                                   uint32_t wire_version = kWireVersion);
+/// Parses a frame payload into \p out. Corruption on anything that does
+/// not decode exactly (unknown type, short body, trailing garbage) — the
+/// connection that produced it must be dropped.
+[[nodiscard]] Status DecodeRequest(Slice payload, Request* out);
 
 /// Serializes a response payload: \p app is the application-level outcome
 /// (shipped as code + message), \p body the type-specific result bytes
-/// (empty on error). Under v2 the response opens with \p corr_id, echoed
-/// from the request; pass wire_version = 1 (e.g. for Hello responses,
-/// which precede negotiation) for the id-less v1 shape.
+/// (empty on error), \p corr_id echoed from the request.
 std::string EncodeResponse(const Status& app, Slice body,
-                           uint32_t wire_version = kWireVersion,
                            uint64_t corr_id = 0);
 
 /// Parses a response payload. The returned Status is the *protocol*
 /// outcome (Corruption = drop the connection); \p app receives the
 /// application-level status, \p body the result bytes, \p corr_id the
-/// echoed correlation id (0 under v1).
+/// echoed correlation id (when non-null).
 [[nodiscard]] Status DecodeResponse(Slice payload, Status* app,
                                     std::string* body,
-                                    uint32_t wire_version = kWireVersion,
                                     uint64_t* corr_id = nullptr);
 
-/// Negotiated version for a Hello advertising \p client_version against a
-/// server speaking up to \p server_version: min of the two. The caller
-/// rejects results below kMinWireVersion.
-constexpr uint32_t NegotiateWireVersion(uint32_t client_version,
-                                        uint32_t server_version) {
-  return client_version < server_version ? client_version : server_version;
-}
+/// The response layout without a correlation id: the answer to a Hello,
+/// and any reject a server sends before the Hello completed.
+std::string EncodeHelloResponse(const Status& app, Slice body);
+[[nodiscard]] Status DecodeHelloResponse(Slice payload, Status* app,
+                                         std::string* body);
 
 /// Rebuilds a Status from a wire code + message (unknown codes map to
 /// IOError so a skewed peer cannot smuggle an OK).
@@ -151,11 +133,11 @@ Status StatusFromWire(uint8_t code, std::string message);
 
 /// Message prefix on the Corruption response a server sends when a
 /// *request frame* could not be decoded (garbled length, digest mismatch,
-/// undecodable payload). The distinction matters to the client's retry
-/// layer: a frame the server rejected at this layer was never executed,
-/// so replaying it — even a non-idempotent Publish — cannot double-apply.
-/// Server-side storage corruption surfaced by an executed request never
-/// carries this prefix.
+/// undecodable payload): the request was never executed. No id could be
+/// read, so the reject carries correlation id 0 (the id-less Hello form
+/// before the Hello completed), and the server drops the connection after
+/// it. Server-side storage corruption surfaced by an
+/// executed request never carries this prefix.
 constexpr const char kBadFramePrefix[] = "bad frame: ";
 
 /// True when \p s is a server-side reject of an undecodable request frame
@@ -179,8 +161,8 @@ bool IsDegradedReject(const Status& s);
 void PutHash(std::string* dst, const Hash& h);
 [[nodiscard]] bool GetHash(Slice* in, Hash* h);
 
-/// What a publish RPC returns (mirrors MergeCommitResult). Under v2 the
-/// body may carry `pushed` — the publish's staged batch (merged index
+/// What a publish RPC returns (mirrors MergeCommitResult). The body may
+/// carry `pushed` — the publish's staged batch (merged index
 /// pages, content commits, the combined commit), size-capped server-side —
 /// which is exactly the node set a losing committer re-reads next round;
 /// the client write-allocates it into its NodeCache instead of paying
@@ -190,13 +172,12 @@ struct WirePublishResult {
   Hash commit;  ///< the author's content commit
   uint64_t cas_failures = 0;
   uint64_t merge_commits = 0;
-  NodeBatch pushed;  ///< v2 cache push (empty under v1 or push-off)
+  NodeBatch pushed;  ///< cache push (empty when push is off)
 };
 
-std::string EncodePublishResultBody(const WirePublishResult& r,
-                                    uint32_t wire_version = kWireVersion);
-[[nodiscard]] Status DecodePublishResultBody(
-    Slice body, WirePublishResult* r, uint32_t wire_version = kWireVersion);
+std::string EncodePublishResultBody(const WirePublishResult& r);
+[[nodiscard]] Status DecodePublishResultBody(Slice body,
+                                             WirePublishResult* r);
 
 std::string EncodeBranchStatsBody(const BranchStats& s);
 [[nodiscard]] Status DecodeBranchStatsBody(Slice body, BranchStats* s);

@@ -71,9 +71,8 @@ struct MergeCommitResult {
   /// True when the publish's deterministic content commit was ALREADY in
   /// the branch history — this call executed nothing and wrote nothing;
   /// `head`/`commit` just point at the earlier landing. That happens when
-  /// a lost-ack publish is replayed after the original execution landed
-  /// (the transport's exactly-once resolution can probe "absent" while
-  /// the original is still inside its combine window / CAS retries).
+  /// a client replays a publish whose ack was lost (the socket transport
+  /// replays every failed attempt and relies on exactly this dedup).
   /// Callers keeping executed-commit accounting must not count these.
   bool already_applied = false;
 };

@@ -13,8 +13,8 @@
 //      Unavailable) within the retry policy's budget, never hangs.
 //
 // The scripted tests pin one fault kind at one exact wire attempt, so
-// every classification branch (not-executed replay, ambiguous resolution,
-// policy exhaustion) is hit deterministically. ChaosProcessTest forks
+// every failure branch (torn send, bad frame, lost ack replayed into the
+// server's dedup, policy exhaustion) is hit deterministically. ChaosProcessTest forks
 // real client processes with seeded random fault streams — the
 // chaos-labeled ctest entry re-runs it scaled up via SIRI_CHAOS=1.
 // Forked tests are excluded from the TSan job (ctest -E) like the other
@@ -336,10 +336,10 @@ TEST_F(ChaosServerTest, PublishCorruptFrameIsReplayedExactlyOnce) {
 
 TEST_F(ChaosServerTest, PublishLostAckResolvesAsAppliedWithoutDuplicate) {
   // The classic lost ack: the full publish frame reached the server (which
-  // applied it), but the connection died before the response. A blind
-  // replay would land a second, degenerate merge commit; the transport
-  // must instead prove the publish applied by head inspection and return
-  // success with the commit the server actually wrote.
+  // applied it), but the connection died before the response. The
+  // transport reconnects and replays; the server finds the replay's
+  // content commit already in history and acks the commit it actually
+  // wrote instead of landing a second, degenerate merge commit.
   auto fault = std::make_shared<FaultInjector>();
   auto opts = FastRetryOptions();
   opts.fault = fault;
@@ -369,12 +369,16 @@ TEST_F(ChaosServerTest, PublishLostAckResolvesAsAppliedWithoutDuplicate) {
   second.expected_head = head0->head;
 
   fault->ScriptNext({FaultKind::kResetAfterSend, 0});
+  const uint64_t rpcs_before = t->stats().rpcs;
   auto published = t->Publish(second);
   ASSERT_TRUE(published.ok()) << published.status().ToString();
   EXPECT_EQ(fault->stats().resets_after_send, 1u);
+  // The original attempt, one reconnect Hello, one replay — no Head or
+  // Get probes of the branch.
+  EXPECT_EQ(t->stats().rpcs - rpcs_before, 3u);
 
-  // The resolution returned the very commit the server wrote: the digest
-  // is decidable client-side because commits are content-addressed.
+  // The ack carries the very commit the server wrote: commits are
+  // content-addressed, so the digest is decidable client-side.
   Commit want;
   want.root = *root2;
   want.parents.push_back(head0->head);
@@ -400,8 +404,8 @@ TEST_F(ChaosServerTest, PublishLostAckResolvesAsAppliedWithoutDuplicate) {
 }
 
 TEST_F(ChaosServerTest, PublishLostAckOnBranchCreationResolves) {
-  // Lost ack on the very first commit of a branch (no expected_head):
-  // resolution must handle the no-parent reconstruction too.
+  // Lost ack on the very first commit of a branch (no expected_head): the
+  // server's dedup must recognise the replayed creation too.
   auto fault = std::make_shared<FaultInjector>();
   auto opts = FastRetryOptions();
   opts.fault = fault;
@@ -422,6 +426,40 @@ TEST_F(ChaosServerTest, PublishLostAckOnBranchCreationResolves) {
   ASSERT_TRUE(published.ok()) << published.status().ToString();
   EXPECT_EQ(servlet_->branches()->branch_stats("fresh").commits, 1u);
   EXPECT_EQ(MessageCount(published->head, "genesis"), 1);
+}
+
+TEST_F(ChaosServerTest, CorruptHelloGetsReadableBadFrameReject) {
+  // A garbled Hello is rejected before the connection is greeted, so the
+  // reject must come back in the id-less Hello layout — the only one the
+  // client's handshake reads. Connect surfaces it typed, unretried.
+  auto fault = std::make_shared<FaultInjector>();
+  fault->ScriptAt(0, {FaultKind::kCorruptFrame, 0});
+  auto opts = FastRetryOptions();
+  opts.fault = fault;
+  std::shared_ptr<net::SocketTransport> t;
+  const Status s =
+      net::SocketTransport::Connect("127.0.0.1", server_->port(), &t, opts);
+  EXPECT_TRUE(net::IsBadFrameReject(s)) << s.ToString();
+  EXPECT_EQ(fault->stats().attempts, 1u);
+  EXPECT_EQ(server_->stats().frame_errors, 1u);
+
+  // Mid-life, a garbled reconnect Hello is just one more failed attempt:
+  // reset the next RPC (attempt 2), garble the Hello that follows
+  // (attempt 3), and the third try lands.
+  fault = std::make_shared<FaultInjector>();
+  opts.fault = fault;
+  t = Connect(opts);
+  ASSERT_NE(t, nullptr);
+  auto put = t->Put("corrupt-hello");
+  ASSERT_TRUE(put.ok());
+  fault->ScriptNext({FaultKind::kResetBeforeSend, 0});
+  fault->ScriptAt(fault->stats().attempts + 1, {FaultKind::kCorruptFrame, 0});
+  auto got = t->Get(*put);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(**got, "corrupt-hello");
+  EXPECT_EQ(t->stats().retries, 2u);
+  EXPECT_EQ(t->stats().reconnects, 1u);
+  EXPECT_EQ(server_->stats().frame_errors, 2u);
 }
 
 // --- typed exhaustion and deadlines ------------------------------------
@@ -502,9 +540,8 @@ TEST(DeadlineTest, StalledServerMissesDeadlineTypedAndCounted) {
     }
     std::string body;
     PutVarint64(&body, net::kWireVersion);
-    // Hello responses are always v1-shaped (they precede negotiation).
-    const std::string resp = net::EncodeFrame(
-        net::EncodeResponse(Status::OK(), body, /*wire_version=*/1));
+    const std::string resp =
+        net::EncodeFrame(net::EncodeHelloResponse(Status::OK(), body));
     (void)send(c, resp.data(), resp.size(), MSG_NOSIGNAL);
     // Swallow everything else without ever answering, until the client
     // hangs up.
@@ -515,8 +552,7 @@ TEST(DeadlineTest, StalledServerMissesDeadlineTypedAndCounted) {
 
   net::SocketTransport::Options opts;
   opts.rpc_timeout_ms = 150;
-  opts.auto_reconnect = false;  // surface the miss directly, no retry
-  opts.retry.max_attempts = 1;
+  opts.retry.max_attempts = 1;  // surface the miss directly, no retry
   std::shared_ptr<net::SocketTransport> t;
   ASSERT_TRUE(net::SocketTransport::Connect("127.0.0.1", port, &t, opts).ok());
 
@@ -551,7 +587,7 @@ TEST(DeadlineTest, DribblingServerCannotResetTheWholeAttemptDeadline) {
     net::FrameDecoder dec;
     char buf[4096];
     std::string payload;
-    // Round 1: complete the Hello honestly (v1-shaped both ways).
+    // Round 1: complete the Hello honestly.
     auto read_frame = [&]() -> bool {
       for (;;) {
         auto next = dec.Next(&payload);
@@ -568,8 +604,8 @@ TEST(DeadlineTest, DribblingServerCannotResetTheWholeAttemptDeadline) {
     }
     std::string body;
     PutVarint64(&body, net::kWireVersion);
-    const std::string hello = net::EncodeFrame(
-        net::EncodeResponse(Status::OK(), body, /*wire_version=*/1));
+    const std::string hello =
+        net::EncodeFrame(net::EncodeHelloResponse(Status::OK(), body));
     (void)send(c, hello.data(), hello.size(), MSG_NOSIGNAL);
     // Round 2: read the request, then answer it one byte at a time — a
     // steady trickle of real protocol bytes, never a stall, never an end.
@@ -578,9 +614,9 @@ TEST(DeadlineTest, DribblingServerCannotResetTheWholeAttemptDeadline) {
       return;
     }
     net::Request req;
-    if (net::DecodeRequest(payload, &req, net::kWireVersion).ok()) {
-      const std::string resp = net::EncodeFrame(net::EncodeResponse(
-          Status::NotFound("not here"), "", net::kWireVersion, req.corr_id));
+    if (net::DecodeRequest(payload, &req).ok()) {
+      const std::string resp = net::EncodeFrame(
+          net::EncodeResponse(Status::NotFound("not here"), "", req.corr_id));
       for (size_t i = 0; i < resp.size() && !stop.load(); ++i) {
         if (send(c, resp.data() + i, 1, MSG_NOSIGNAL) != 1) break;
         std::this_thread::sleep_for(std::chrono::milliseconds(25));
@@ -591,7 +627,6 @@ TEST(DeadlineTest, DribblingServerCannotResetTheWholeAttemptDeadline) {
 
   net::SocketTransport::Options opts;
   opts.rpc_timeout_ms = 200;
-  opts.auto_reconnect = false;
   opts.retry.max_attempts = 1;
   std::shared_ptr<net::SocketTransport> t;
   ASSERT_TRUE(net::SocketTransport::Connect("127.0.0.1", port, &t, opts).ok());
@@ -632,7 +667,7 @@ TEST_F(ChaosServerTest, ShortWriteAtEveryOffsetBoundaryRecovers) {
   probe.corr_id = 1;
   probe.hash = h;
   const uint64_t frame_size =
-      net::EncodeFrame(net::EncodeRequest(probe, net::kWireVersion)).size();
+      net::EncodeFrame(net::EncodeRequest(probe)).size();
 
   const uint64_t offsets[] = {0, 1, frame_size / 2, frame_size - 1,
                               frame_size};
@@ -660,7 +695,7 @@ TEST_F(ChaosServerTest, ShortWriteAtEveryOffsetBoundaryRecovers) {
 TEST_F(ChaosServerTest, PublishShortWriteOneByteShortIsTornNotExecuted) {
   // Cut one byte before the end: the server never sees a complete frame,
   // so the publish provably did not execute and the replay is the first
-  // execution — exactly one commit, via the replay path (not resolution).
+  // execution — exactly one commit.
   auto fault = std::make_shared<FaultInjector>();
   auto opts = FastRetryOptions();
   opts.fault = fault;
@@ -688,7 +723,7 @@ TEST_F(ChaosServerTest, PublishShortWriteOneByteShortIsTornNotExecuted) {
   probe.author = pub.author;
   probe.message = pub.message;
   const uint64_t frame_size =
-      net::EncodeFrame(net::EncodeRequest(probe, net::kWireVersion)).size();
+      net::EncodeFrame(net::EncodeRequest(probe)).size();
 
   fault->ScriptNext({FaultKind::kShortWrite, 0, frame_size - 1});
   auto published = t->Publish(pub);
@@ -704,9 +739,8 @@ TEST_F(ChaosServerTest, PublishShortWriteOneByteShortIsTornNotExecuted) {
 
 TEST_F(ChaosServerTest, PublishShortWriteOfFullFrameIsAmbiguousNotReplayed) {
   // Cut *at* the frame size: every byte was delivered before the close, so
-  // the server executed the publish and only the ack was lost. Classifying
-  // this torn (kNotExecuted) would blindly replay an applied commit; it
-  // must classify ambiguous and prove the publish applied instead.
+  // the server executed the publish and only the ack was lost. The client
+  // replays it, and the server must not execute it a second time.
   auto fault = std::make_shared<FaultInjector>();
   auto opts = FastRetryOptions();
   opts.fault = fault;
@@ -732,15 +766,15 @@ TEST_F(ChaosServerTest, PublishShortWriteOfFullFrameIsAmbiguousNotReplayed) {
   probe.author = pub.author;
   probe.message = pub.message;
   const uint64_t frame_size =
-      net::EncodeFrame(net::EncodeRequest(probe, net::kWireVersion)).size();
+      net::EncodeFrame(net::EncodeRequest(probe)).size();
 
   fault->ScriptNext({FaultKind::kShortWrite, 0, frame_size});
   auto published = t->Publish(pub);
   ASSERT_TRUE(published.ok()) << published.status().ToString();
   EXPECT_EQ(servlet_->branches()->branch_stats("main").commits, 1u);
   EXPECT_EQ(MessageCount(published->head, "delivered-boundary"), 1);
-  // ONE execution, and it was the original send — resolution, not replay.
-  // A torn misclassification would score 2 here.
+  // ONE execution: the replay is acked by the server's dedup. A second
+  // execution would score 2 here.
   const CommitCombiner::Stats cs = servlet_->combiner()->stats();
   EXPECT_EQ(cs.solo_commits + cs.combined_commits + cs.fallbacks, 1u);
 }
@@ -748,7 +782,7 @@ TEST_F(ChaosServerTest, PublishShortWriteOfFullFrameIsAmbiguousNotReplayed) {
 // --- pipelining × chaos ------------------------------------------------
 
 TEST_F(ChaosServerTest, PublishLostAckResolvesUnderPipelinedConcurrentTraffic) {
-  // The lost-ack resolution rerun with the connection pipelined and busy:
+  // The lost-ack replay rerun with the connection pipelined and busy:
   // concurrent readers share the transport before and after the faulted
   // publish, and exactly-once must still hold.
   auto fault = std::make_shared<FaultInjector>();

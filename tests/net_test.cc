@@ -11,6 +11,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -247,54 +248,58 @@ TEST(WireCodecTest, ResultBodiesRoundTrip) {
   EXPECT_EQ(branches2, branches);
 }
 
-// --- wire v2: correlation ids, want_push, pushed batches ---------------
+// --- correlation ids, want_push, pushed batches, the id-less Hello ----
 
-TEST(WireCodecTest, CorrelationIdRoundTripsUnderV2AndIsAbsentUnderV1) {
+TEST(WireCodecTest, CorrelationIdRoundTrips) {
   Request req;
   req.type = MsgType::kGet;
   req.hash = Sha256::Digest("corr");
   req.corr_id = 0x1234567u;
 
-  Request v2;
-  ASSERT_TRUE(net::DecodeRequest(net::EncodeRequest(req, 2), &v2, 2).ok());
-  EXPECT_EQ(v2.corr_id, 0x1234567u);
-  EXPECT_EQ(v2.hash, req.hash);
-
-  // The v1 dialect has no corr-id slot: it is not encoded, and a v1
-  // decode of a v1 frame yields 0.
-  Request v1;
-  ASSERT_TRUE(net::DecodeRequest(net::EncodeRequest(req, 1), &v1, 1).ok());
-  EXPECT_EQ(v1.corr_id, 0u);
-  EXPECT_EQ(v1.hash, req.hash);
+  Request out;
+  ASSERT_TRUE(net::DecodeRequest(net::EncodeRequest(req), &out).ok());
+  EXPECT_EQ(out.corr_id, 0x1234567u);
+  EXPECT_EQ(out.hash, req.hash);
 }
 
 TEST(WireCodecTest, ResponseCorrelationIdRoundTripsUnderV2) {
-  const std::string v2 =
-      net::EncodeResponse(Status::OK(), Slice("pipelined"), 2, 0x42u);
+  const std::string payload =
+      net::EncodeResponse(Status::OK(), Slice("pipelined"), 0x42u);
   Status app;
   std::string body;
   uint64_t corr = 0;
-  ASSERT_TRUE(net::DecodeResponse(v2, &app, &body, 2, &corr).ok());
+  ASSERT_TRUE(net::DecodeResponse(payload, &app, &body, &corr).ok());
   EXPECT_TRUE(app.ok());
   EXPECT_EQ(body, "pipelined");
   EXPECT_EQ(corr, 0x42u);
-
-  // v1 responses carry no id; the out-param reports 0.
-  const std::string v1 = net::EncodeResponse(Status::OK(), Slice("solo"), 1);
-  corr = 99;
-  ASSERT_TRUE(net::DecodeResponse(v1, &app, &body, 1, &corr).ok());
-  EXPECT_EQ(body, "solo");
-  EXPECT_EQ(corr, 0u);
 }
 
 TEST(WireCodecTest, HelloIsAlwaysV1ShapedRegardlessOfRequestedVersion) {
-  // The Hello precedes negotiation, so its encoding must not depend on
-  // the version being negotiated — both dialects produce identical bytes.
-  Request hello;
-  hello.type = MsgType::kHello;
-  hello.version = net::kWireVersion;
-  hello.corr_id = 7;  // must be ignored: Hello has no corr slot
-  EXPECT_EQ(net::EncodeRequest(hello, 2), net::EncodeRequest(hello, 1));
+  // The Hello layout — type byte, version varint, no correlation id — is
+  // the one every build has spoken since v1, which is what lets a server
+  // read any peer's version and answer a mismatch with a typed reject.
+  for (const uint32_t version : {0u, 1u, net::kWireVersion,
+                                 net::kWireVersion + 1}) {
+    Request hello;
+    hello.type = MsgType::kHello;
+    hello.version = version;
+    hello.corr_id = 7;  // must be ignored: Hello has no corr slot
+    std::string want(1, static_cast<char>(MsgType::kHello));
+    PutVarint64(&want, version);
+    EXPECT_EQ(net::EncodeRequest(hello), want);
+    EXPECT_EQ(RoundTrip(hello).version, version);
+  }
+
+  // Its answer omits the id too.
+  std::string body;
+  PutVarint64(&body, net::kWireVersion);
+  Status app;
+  std::string got;
+  ASSERT_TRUE(net::DecodeHelloResponse(
+                  net::EncodeHelloResponse(Status::OK(), body), &app, &got)
+                  .ok());
+  EXPECT_TRUE(app.ok());
+  EXPECT_EQ(got, body);
 }
 
 TEST(WireCodecTest, WantPushRoundTripsUnderV2Only) {
@@ -305,15 +310,10 @@ TEST(WireCodecTest, WantPushRoundTripsUnderV2Only) {
   pub.new_root = Sha256::Digest("root");
   pub.author = "a";
   pub.message = "m";
-  pub.want_push = true;
-
-  Request v2;
-  ASSERT_TRUE(net::DecodeRequest(net::EncodeRequest(pub, 2), &v2, 2).ok());
-  EXPECT_TRUE(v2.want_push);
-
-  Request v1;
-  ASSERT_TRUE(net::DecodeRequest(net::EncodeRequest(pub, 1), &v1, 1).ok());
-  EXPECT_FALSE(v1.want_push);  // the v1 dialect cannot ask for a push
+  for (const bool want : {true, false}) {
+    pub.want_push = want;
+    EXPECT_EQ(RoundTrip(pub).want_push, want);
+  }
 }
 
 TEST(WireCodecTest, PublishResultPushedBatchRoundTripsUnderV2) {
@@ -325,23 +325,89 @@ TEST(WireCodecTest, PublishResultPushedBatchRoundTripsUnderV2) {
   pub.pushed.push_back({Sha256::Digest(*page), page});
   pub.pushed.push_back({Sha256::Digest(*node), node});
 
-  net::WirePublishResult v2;
+  net::WirePublishResult out;
   ASSERT_TRUE(
-      net::DecodePublishResultBody(net::EncodePublishResultBody(pub, 2), &v2, 2)
+      net::DecodePublishResultBody(net::EncodePublishResultBody(pub), &out)
           .ok());
-  ASSERT_EQ(v2.pushed.size(), 2u);
-  EXPECT_EQ(v2.pushed[0].hash, pub.pushed[0].hash);
-  EXPECT_EQ(*v2.pushed[0].bytes, *page);
-  EXPECT_EQ(*v2.pushed[1].bytes, *node);
+  ASSERT_EQ(out.pushed.size(), 2u);
+  EXPECT_EQ(out.pushed[0].hash, pub.pushed[0].hash);
+  EXPECT_EQ(*out.pushed[0].bytes, *page);
+  EXPECT_EQ(*out.pushed[1].bytes, *node);
+  EXPECT_EQ(out.head, pub.head);
+}
 
-  // Encoded for a v1 peer, the push is silently dropped — the ack stays
-  // exactly the legacy shape.
-  net::WirePublishResult v1;
-  ASSERT_TRUE(
-      net::DecodePublishResultBody(net::EncodePublishResultBody(pub, 1), &v1, 1)
-          .ok());
-  EXPECT_TRUE(v1.pushed.empty());
-  EXPECT_EQ(v1.head, pub.head);
+// --- golden bytes ------------------------------------------------------
+
+std::string ToHex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+Hash FilledHash(char byte) {
+  const std::string bytes(Hash::kSize, byte);
+  return Hash::FromBytes(bytes.data());
+}
+
+TEST(WireCodecTest, HealthyPathBytesArePinned) {
+  // Literal payload bytes of the healthy-path messages. Any codec change
+  // that moves a byte on the wire fails here, not in a peer.
+  const std::string h11(64, '1'), h22(64, '2'), h33(64, '3'), h44(64, '4'),
+      h55(64, '5'), h66(64, '6');
+
+  Request hello;
+  hello.type = MsgType::kHello;
+  hello.version = net::kWireVersion;
+  EXPECT_EQ(ToHex(net::EncodeRequest(hello)), "0102");
+  std::string version;
+  PutVarint64(&version, net::kWireVersion);
+  EXPECT_EQ(ToHex(net::EncodeHelloResponse(Status::OK(), version)),
+            "40000002");
+  EXPECT_EQ(ToHex(net::EncodeFrame(net::EncodeRequest(hello))),
+            "02a12871fee210fb8619291eaea194581cbd2531e4b23759d225f6806923f632"
+            "220102");
+
+  Request get;
+  get.type = MsgType::kGet;
+  get.corr_id = 7;
+  get.hash = FilledHash('\x11');
+  EXPECT_EQ(ToHex(net::EncodeRequest(get)), "0207" + h11);
+
+  // type | corr 300 | "pos" | "main" | root | "a" | "m" | expected head
+  // flag + head | want_push.
+  Request pub;
+  pub.type = MsgType::kPublish;
+  pub.corr_id = 300;
+  pub.structure = "pos";
+  pub.branch = "main";
+  pub.new_root = FilledHash('\x22');
+  pub.author = "a";
+  pub.message = "m";
+  pub.expected_head = FilledHash('\x33');
+  pub.want_push = true;
+  EXPECT_EQ(ToHex(net::EncodeRequest(pub)),
+            "09ac02" "03706f73" "046d61696e" + h22 + "0161" "016d" "01" +
+                h33 + "01");
+
+  // kResponse | corr 300 | NotFound | "no" | body "xy".
+  EXPECT_EQ(ToHex(net::EncodeResponse(Status::NotFound("no"), Slice("xy"),
+                                      300)),
+            "40ac0201026e6f7879");
+
+  // head | commit | cas_failures 1 | merge_commits 2 | one pushed record.
+  net::WirePublishResult result;
+  result.head = FilledHash('\x44');
+  result.commit = FilledHash('\x55');
+  result.cas_failures = 1;
+  result.merge_commits = 2;
+  result.pushed.push_back(
+      {FilledHash('\x66'), std::make_shared<const std::string>("node")});
+  EXPECT_EQ(ToHex(net::EncodePublishResultBody(result)),
+            h44 + h55 + "0102" "01" + h66 + "046e6f6465");
 }
 
 // --- frame decoder hardening ------------------------------------------
@@ -718,10 +784,11 @@ TEST_F(LoopbackServerTest, GarbageConnectionDiesAloneServerSurvives) {
 namespace {
 
 /// Hand-rolls one Hello advertising \p version against \p port and
-/// returns the server's application verdict; on success, \p negotiated
-/// receives the version the server answered with. The exchange is
-/// v1-shaped on both legs, as every Hello is (it precedes negotiation).
-Status HandRolledHello(int port, uint64_t version, uint64_t* negotiated) {
+/// returns the server's application verdict; on success, \p answered
+/// receives the version the server answered with. When \p closed is
+/// non-null it reports whether the server hung up after answering.
+Status HandRolledHello(int port, uint64_t version, uint64_t* answered,
+                       bool* closed = nullptr) {
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Status::IOError("socket");
   sockaddr_in addr{};
@@ -732,11 +799,14 @@ Status HandRolledHello(int port, uint64_t version, uint64_t* negotiated) {
     close(fd);
     return Status::IOError("connect");
   }
+  // Bounds the wait for a hang-up that never comes.
+  timeval tv{};
+  tv.tv_sec = 5;
+  (void)setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   Request hello;
   hello.type = MsgType::kHello;
   hello.version = static_cast<uint32_t>(version);
-  const std::string frame =
-      net::EncodeFrame(net::EncodeRequest(hello, /*wire_version=*/1));
+  const std::string frame = net::EncodeFrame(net::EncodeRequest(hello));
   if (send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) !=
       static_cast<ssize_t>(frame.size())) {
     close(fd);
@@ -745,6 +815,7 @@ Status HandRolledHello(int port, uint64_t version, uint64_t* negotiated) {
   FrameDecoder dec;
   std::string payload;
   bool got_response = false;
+  char buf[4096];
   for (;;) {
     auto r = dec.Next(&payload);
     if (!r.ok()) break;
@@ -752,60 +823,116 @@ Status HandRolledHello(int port, uint64_t version, uint64_t* negotiated) {
       got_response = true;
       break;
     }
-    char buf[4096];
     const ssize_t n = recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     dec.Append(buf, static_cast<size_t>(n));
+  }
+  if (got_response && closed != nullptr) {
+    *closed = dec.buffered() == 0 && recv(fd, buf, sizeof(buf), 0) == 0;
   }
   close(fd);
   if (!got_response) return Status::IOError("no response");
   Status app;
   std::string body;
-  const Status decoded =
-      net::DecodeResponse(payload, &app, &body, /*wire_version=*/1);
+  const Status decoded = net::DecodeHelloResponse(payload, &app, &body);
   if (!decoded.ok()) return decoded;
   if (!app.ok()) return app;
   Slice in(body);
-  if (!GetVarint64(&in, negotiated) || !in.empty()) {
+  if (!GetVarint64(&in, answered) || !in.empty()) {
     return Status::Corruption("hello body");
   }
   return Status::OK();
 }
 
+/// Expects the typed mismatch reject for a Hello advertising \p version,
+/// and that the server hangs up after sending it.
+void ExpectVersionMismatchRejectAndClose(int port, uint64_t version) {
+  SCOPED_TRACE("hello v" + std::to_string(version));
+  uint64_t answered = 0;
+  bool closed = false;
+  const Status s = HandRolledHello(port, version, &answered, &closed);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.ToString().find("wire version mismatch"), std::string::npos);
+  EXPECT_TRUE(closed);
+}
+
 }  // namespace
 
 TEST_F(LoopbackServerTest, HelloNegotiatesFutureAndCurrentVersionsDown) {
-  // The negotiation matrix, server side. A future-version client is not
-  // rejected: the server answers min(client, server) and the connection
-  // proceeds at the version both speak.
-  uint64_t negotiated = 0;
+  // There is one dialect, so nothing is negotiated down any more: the
+  // current version is answered with itself ...
+  uint64_t answered = 0;
   ASSERT_TRUE(
-      HandRolledHello(server_->port(), net::kWireVersion + 1, &negotiated)
-          .ok());
-  EXPECT_EQ(negotiated, net::kWireVersion);
+      HandRolledHello(server_->port(), net::kWireVersion, &answered).ok());
+  EXPECT_EQ(answered, net::kWireVersion);
 
-  negotiated = 0;
-  ASSERT_TRUE(
-      HandRolledHello(server_->port(), net::kWireVersion, &negotiated).ok());
-  EXPECT_EQ(negotiated, net::kWireVersion);
-
-  // A legacy v1 client pins the connection at v1: the server must not
-  // assume corr ids it would never receive.
-  negotiated = 0;
-  ASSERT_TRUE(
-      HandRolledHello(server_->port(), net::kMinWireVersion, &negotiated)
-          .ok());
-  EXPECT_EQ(negotiated, net::kMinWireVersion);
+  // ... and a future version draws the typed mismatch reject, after which
+  // the server hangs up, instead of being answered with min(client, server).
+  ExpectVersionMismatchRejectAndClose(server_->port(), net::kWireVersion + 1);
 }
 
 TEST_F(LoopbackServerTest, VersionSkewBelowFloorFailsHandshakeTyped) {
-  // Below the floor there is no common dialect: the Hello is rejected
-  // with a typed InvalidArgument (and the connection survives the reject
-  // — the peer may offer another version; HandRolledHello closes it).
-  uint64_t negotiated = 0;
-  const Status s = HandRolledHello(server_->port(), 0, &negotiated);
+  // Every older version — 0, and the retired v1 dialect — draws the typed
+  // mismatch reject, and the server hangs up after sending it.
+  ExpectVersionMismatchRejectAndClose(server_->port(), 0);
+  ExpectVersionMismatchRejectAndClose(server_->port(), 1);
+}
+
+TEST_F(LoopbackServerTest, ConnectFailsOnVersionMismatchRejectWithoutRetry) {
+  // Client side: Connect to a peer that sends this reject (a build that
+  // speaks another version) returns it at once — one Hello, no retry.
+  int listen_fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(listen(listen_fd, 4), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  std::atomic<int> hellos{0};
+  std::thread peer([listen_fd, &hellos] {
+    const int c = accept(listen_fd, nullptr, nullptr);
+    if (c < 0) return;
+    FrameDecoder dec;
+    std::string payload;
+    char buf[4096];
+    for (;;) {
+      auto next = dec.Next(&payload);
+      if (!next.ok()) break;
+      if (*next) {
+        hellos.fetch_add(1);
+        const std::string reject = net::EncodeFrame(net::EncodeHelloResponse(
+            Status::InvalidArgument(
+                "wire version mismatch: client speaks v2, server speaks v3"),
+            Slice()));
+        (void)send(c, reject.data(), reject.size(), MSG_NOSIGNAL);
+        break;
+      }
+      const ssize_t n = recv(c, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      dec.Append(buf, static_cast<size_t>(n));
+    }
+    close(c);
+  });
+
+  auto fault = std::make_shared<net::FaultInjector>();  // counts attempts
+  net::SocketTransport::Options opts;
+  opts.fault = fault;
+  std::shared_ptr<net::SocketTransport> t;
+  const Status s =
+      net::SocketTransport::Connect("127.0.0.1", ntohs(addr.sin_port), &t,
+                                    opts);
+  peer.join();
+  close(listen_fd);
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
   EXPECT_NE(s.ToString().find("wire version mismatch"), std::string::npos);
+  EXPECT_EQ(t, nullptr);
+  // A retry would have spent a second wire attempt.
+  EXPECT_EQ(fault->stats().attempts, 1u);
+  EXPECT_EQ(hellos.load(), 1);
 }
 
 TEST_F(LoopbackServerTest, ClientStoreOverSocketReadsAndCommits) {
@@ -861,7 +988,6 @@ TEST_F(LoopbackServerTest, PipelinedThreadsShareOneConnectionWithoutCrosstalk) {
   ASSERT_TRUE(
       net::SocketTransport::Connect("127.0.0.1", server_->port(), &t, opts)
           .ok());
-  EXPECT_EQ(t->negotiated_wire_version(), 2u);
 
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 40;
@@ -900,80 +1026,6 @@ TEST_F(LoopbackServerTest, PipelinedThreadsShareOneConnectionWithoutCrosstalk) {
   EXPECT_EQ(server_->stats().connections, 1u);
 }
 
-namespace {
-
-/// A minimal v1-only peer: answers the Hello with version 1 (v1-shaped,
-/// as every Hello exchange is), then serves kFlush requests in the v1
-/// dialect until the client hangs up. Anything else gets a typed error.
-void RunV1OnlyPeer(int listen_fd) {
-  const int c = accept(listen_fd, nullptr, nullptr);
-  if (c < 0) return;
-  FrameDecoder dec;
-  std::string payload;
-  char buf[4096];
-  for (;;) {
-    auto next = dec.Next(&payload);
-    if (!next.ok()) break;
-    if (!*next) {
-      const ssize_t n = recv(c, buf, sizeof(buf), 0);
-      if (n <= 0) break;
-      dec.Append(buf, static_cast<size_t>(n));
-      continue;
-    }
-    Request req;
-    if (!net::DecodeRequest(payload, &req, /*wire_version=*/1).ok()) break;
-    Status app;
-    std::string body;
-    if (req.type == MsgType::kHello) {
-      PutVarint64(&body, 1);  // a pre-v2 server knows only its own version
-    } else if (req.type != MsgType::kFlush) {
-      app = Status::NotSupported("v1 peer serves only Flush");
-    }
-    const std::string resp =
-        net::EncodeFrame(net::EncodeResponse(app, body, /*wire_version=*/1));
-    if (send(c, resp.data(), resp.size(), MSG_NOSIGNAL) !=
-        static_cast<ssize_t>(resp.size())) {
-      break;
-    }
-  }
-  close(c);
-}
-
-}  // namespace
-
-TEST(WireNegotiationTest, V1PeerDegradesConnectionToLegacyProtocol) {
-  // New client, old server: the Hello negotiates the connection down to
-  // v1 — no corr ids on the wire, effective inflight 1 — and RPCs still
-  // work. This pins the old-server row of the negotiation matrix.
-  int listen_fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  ASSERT_GE(listen_fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  ASSERT_EQ(listen(listen_fd, 4), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len),
-            0);
-  const int port = ntohs(addr.sin_port);
-  std::thread peer([listen_fd] { RunV1OnlyPeer(listen_fd); });
-
-  net::SocketTransport::Options opts;
-  opts.max_inflight = 8;  // requested, but v1 must pin the effective depth
-  opts.auto_reconnect = false;
-  opts.retry.max_attempts = 1;
-  std::shared_ptr<net::SocketTransport> t;
-  ASSERT_TRUE(net::SocketTransport::Connect("127.0.0.1", port, &t, opts).ok());
-  EXPECT_EQ(t->negotiated_wire_version(), 1u);
-  EXPECT_TRUE(t->Flush().ok());
-  EXPECT_TRUE(t->Flush().ok());
-  t->Close();
-  peer.join();
-  close(listen_fd);
-}
-
 TEST(ServerFrameCapTest, RequestAtExactCapExecutesOneOverIsRejected) {
   // The decoder-boundary tests, replayed through the real server: a
   // request payload of exactly the server's max_frame_bytes executes; one
@@ -993,7 +1045,6 @@ TEST(ServerFrameCapTest, RequestAtExactCapExecutesOneOverIsRejected) {
   // The client's own frame cap must admit the response AND its request:
   // give it headroom so the server's bound is the one under test.
   copts.max_frame_bytes = 1 << 20;
-  copts.auto_reconnect = false;
   copts.retry.max_attempts = 1;
   std::shared_ptr<net::SocketTransport> t;
   ASSERT_TRUE(
