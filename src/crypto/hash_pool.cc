@@ -53,8 +53,10 @@ void Sha256Pool::WorkerLoop() {
 void Sha256Pool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   // One shared cursor: workers and the caller pull indexes until drained.
   // Chunked claiming (grab a run of indexes per fetch) would cut contention
-  // further, but page digests are ~1-2µs each, so a relaxed fetch_add per
-  // page is already noise.
+  // further, but a 1 KiB page digest costs ~1µs with the SHA-NI kernel
+  // and ~7µs with the portable one (BM_Sha256 / BM_Sha256Portable on an
+  // x86 VM with the SHA extensions), so a relaxed fetch_add per page is
+  // already noise.
   auto next = std::make_shared<std::atomic<size_t>>(0);
   auto done = std::make_shared<std::atomic<size_t>>(0);
   auto done_mu = std::make_shared<std::mutex>();

@@ -672,6 +672,12 @@ Result<std::shared_ptr<const std::string>> SocketTransport::Get(
   req.hash = h;
   auto body = CallIdempotent(&req);
   if (!body.ok()) return body.status();
+  // The socket is a trust boundary: a fetched node must hash to the digest
+  // asked for, or a lying server could poison the client's cache. The
+  // mismatch is a typed answer, not a wire fault, so it is not retried.
+  if (Sha256::Digest(*body) != h) {
+    return Status::Corruption("get: server bytes do not hash to " + h.ToHex());
+  }
   return std::make_shared<const std::string>(std::move(*body));
 }
 

@@ -45,6 +45,10 @@
 // Options::fault (net/fault.h); every wire exchange, handshakes included,
 // consumes one injector index.
 //
+// Fetched nodes. Get re-digests the server's bytes and answers a
+// mismatch with Status::Corruption — not retried, so the caller (and its
+// cache) never sees bytes that do not hash to the digest it asked for.
+//
 // Cache push. With Options::cache_push set, Publish requests ask the
 // server to attach the publish's staged batch — merged index pages and
 // commit objects, exactly the nodes a losing committer re-reads next

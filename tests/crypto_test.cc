@@ -1,11 +1,13 @@
 // Copyright (c) 2026 The siri Authors. MIT license.
 //
-// SHA-256 against FIPS 180-4 / NIST test vectors, Hash semantics, and
+// SHA-256 against FIPS 180-4 / NIST test vectors (through the dispatcher
+// and through each block kernel directly), Hash semantics, and
 // rolling-hash (buzhash) behavior including the content-defined-chunking
 // locality property POS-Tree depends on.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,6 +17,7 @@
 #include "crypto/hash_pool.h"
 #include "crypto/rolling_hash.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_internal.h"
 
 namespace siri {
 namespace {
@@ -76,6 +79,140 @@ TEST(Sha256Test, ContextReusableAfterReset) {
   ctx.Update("abc");
   EXPECT_EQ(ctx.Finish().ToHex(),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+// --- Block kernels (portable and SHA-NI) ------------------------------------
+
+using sha256_internal::CompressFn;
+
+// SHA-256 of \p msg with its padding done here and every block compressed
+// by \p compress, in runs whose lengths come from \p rng (one call for
+// all blocks when rng is null), so a kernel is checked without Sha256.
+Hash DigestWithKernel(CompressFn compress, const std::string& msg,
+                      Rng* rng = nullptr) {
+  std::string padded = msg;
+  padded.push_back('\x80');
+  while (padded.size() % 64 != 56) padded.push_back('\0');
+  const uint64_t bits = static_cast<uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<char>(bits >> (i * 8)));
+  }
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  const auto* p = reinterpret_cast<const uint8_t*>(padded.data());
+  size_t blocks = padded.size() / 64;
+  while (blocks > 0) {
+    const size_t run = rng == nullptr ? blocks : 1 + rng->Uniform(blocks);
+    compress(state, p, run);
+    p += run * 64;
+    blocks -= run;
+  }
+  uint8_t out[32];
+  for (int i = 0; i < 8; ++i) {
+    for (int b = 0; b < 4; ++b) {
+      out[i * 4 + b] = static_cast<uint8_t>(state[i] >> (24 - 8 * b));
+    }
+  }
+  return Hash::FromBytes(out);
+}
+
+void ExpectFipsVectors(CompressFn compress) {
+  EXPECT_EQ(DigestWithKernel(compress, "").ToHex(),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(DigestWithKernel(compress, "abc").ToHex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(
+      DigestWithKernel(
+          compress, "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")
+          .ToHex(),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(DigestWithKernel(compress,
+                             "abcdefghbcdefghicdefghijdefghijkefghijklfghijklm"
+                             "ghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrs"
+                             "mnopqrstnopqrstu")
+                .ToHex(),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  EXPECT_EQ(DigestWithKernel(compress, std::string(1000000, 'a')).ToHex(),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// Skips the calling test where the SHA-NI kernel cannot run.
+#define SIRI_REQUIRE_SHANI()                                           \
+  if (!sha256_internal::ShaNiSupported()) {                            \
+    GTEST_SKIP() << "CPU lacks the SHA extensions (or is not x86)";    \
+  }
+
+// The SHA-NI kernel; null where it is compiled out (the tests using it skip
+// there first).
+CompressFn ShaNiKernel() {
+#ifdef SIRI_SHA256_HAVE_SHANI
+  return sha256_internal::CompressShaNi;
+#else
+  return nullptr;
+#endif
+}
+
+TEST(Sha256KernelTest, PortableKernelMatchesFipsVectors) {
+  ExpectFipsVectors(sha256_internal::CompressPortable);
+}
+
+TEST(Sha256KernelTest, ShaNiKernelMatchesFipsVectors) {
+  SIRI_REQUIRE_SHANI();
+  ExpectFipsVectors(ShaNiKernel());
+}
+
+TEST(Sha256KernelTest, DispatcherMatchesPortableAtEveryLength) {
+  // Also pins Finish()'s in-buffer padding on both sides of the 56-byte
+  // edge, whichever kernel the dispatcher picked.
+  Rng rng(7);
+  const std::string data = rng.Bytes(1100);
+  for (size_t n = 0; n <= data.size(); ++n) {
+    const std::string msg = data.substr(0, n);
+    ASSERT_EQ(Sha256::Digest(msg),
+              DigestWithKernel(sha256_internal::CompressPortable, msg))
+        << "len=" << n;
+  }
+}
+
+TEST(Sha256KernelTest, KernelsAgreeAtEveryLength) {
+  SIRI_REQUIRE_SHANI();
+  Rng rng(8);
+  const std::string data = rng.Bytes(1100);
+  for (size_t n = 0; n <= data.size(); ++n) {
+    const std::string msg = data.substr(0, n);
+    ASSERT_EQ(DigestWithKernel(ShaNiKernel(), msg),
+              DigestWithKernel(sha256_internal::CompressPortable, msg))
+        << "len=" << n;
+  }
+}
+
+TEST(Sha256KernelTest, KernelsAgreeUnderRandomSplits) {
+  SIRI_REQUIRE_SHANI();
+  Rng rng(9);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::string msg = rng.Bytes(rng.Uniform(4096));
+    const Hash want = DigestWithKernel(sha256_internal::CompressPortable, msg);
+    // Random runs of blocks per kernel call ...
+    EXPECT_EQ(DigestWithKernel(ShaNiKernel(), msg, &rng), want);
+    EXPECT_EQ(DigestWithKernel(sha256_internal::CompressPortable, msg, &rng),
+              want);
+    // ... and random Update split points through the dispatcher.
+    Sha256 ctx;
+    for (size_t i = 0; i < msg.size();) {
+      const size_t take = std::min<size_t>(rng.Uniform(200), msg.size() - i);
+      ctx.Update(msg.data() + i, take);
+      i += take;
+    }
+    EXPECT_EQ(ctx.Finish(), want) << "trial " << trial;
+  }
+}
+
+TEST(Sha256KernelTest, DispatcherPicksShaNiWhenSupported) {
+  if (sha256_internal::ShaNiSupported()) {
+    EXPECT_STREQ(Sha256::KernelName(), "sha-ni");
+  } else {
+    EXPECT_STREQ(Sha256::KernelName(), "portable");
+  }
 }
 
 TEST(HashTest, ZeroIsZero) {

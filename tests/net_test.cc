@@ -935,6 +935,85 @@ TEST_F(LoopbackServerTest, ConnectFailsOnVersionMismatchRejectWithoutRetry) {
   EXPECT_EQ(hellos.load(), 1);
 }
 
+TEST_F(LoopbackServerTest, GetRejectsBytesThatDoNotHashToTheDigest) {
+  // A lying peer: a correct handshake, then every Get answered with a
+  // well-framed body that is not the requested node. The client must
+  // refuse it with a typed Corruption — no retry, and nothing cached.
+  int listen_fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(listen(listen_fd, 4), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  std::atomic<int> gets{0};
+  std::thread peer([listen_fd, &gets] {
+    const int c = accept(listen_fd, nullptr, nullptr);
+    if (c < 0) return;
+    timeval tv{};
+    tv.tv_sec = 5;
+    (void)setsockopt(c, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    FrameDecoder dec;
+    std::string payload;
+    char buf[4096];
+    for (;;) {
+      auto next = dec.Next(&payload);
+      if (!next.ok()) break;
+      if (*next) {
+        Request req;
+        if (!net::DecodeRequest(payload, &req).ok()) break;
+        std::string reply;
+        if (req.type == MsgType::kHello) {
+          std::string body;
+          PutVarint64(&body, net::kWireVersion);
+          reply = net::EncodeFrame(net::EncodeHelloResponse(Status::OK(), body));
+        } else if (req.type == MsgType::kGet) {
+          gets.fetch_add(1);
+          reply = net::EncodeFrame(
+              net::EncodeResponse(Status::OK(), "not the node", req.corr_id));
+        } else {
+          break;
+        }
+        (void)send(c, reply.data(), reply.size(), MSG_NOSIGNAL);
+        continue;
+      }
+      const ssize_t n = recv(c, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      dec.Append(buf, static_cast<size_t>(n));
+    }
+    close(c);
+  });
+
+  auto fault = std::make_shared<net::FaultInjector>();  // counts attempts
+  net::SocketTransport::Options opts;
+  opts.fault = fault;
+  std::shared_ptr<net::SocketTransport> t;
+  ASSERT_TRUE(net::SocketTransport::Connect("127.0.0.1", ntohs(addr.sin_port),
+                                            &t, opts)
+                  .ok());
+  auto client_store = std::make_shared<ForkbaseClientStore>(t, 1 << 20);
+  const Hash wanted = Sha256::Digest("the real node");
+  for (int i = 0; i < 2; ++i) {
+    auto got = client_store->Get(wanted);
+    EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  }
+  // The second Get went back to the wire: the lie was not cached. Hello +
+  // two Gets, one attempt each: the mismatch was not retried either.
+  EXPECT_EQ(gets.load(), 2);
+  EXPECT_EQ(client_store->remote_stats().cache_hits, 0u);
+  EXPECT_EQ(client_store->remote_stats().remote_gets, 0u);
+  EXPECT_EQ(fault->stats().attempts, 3u);
+  client_store.reset();
+  t->Close();
+  t.reset();
+  peer.join();
+  close(listen_fd);
+}
+
 TEST_F(LoopbackServerTest, ClientStoreOverSocketReadsAndCommits) {
   // The full stack: ForkbaseClientStore on a SocketTransport, index reads
   // through the node cache, and a commit published over the wire.
