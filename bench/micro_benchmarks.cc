@@ -19,6 +19,7 @@
 #include "index/ordered/node_codec.h"
 #include "index/pos/pos_tree.h"
 #include "store/node_store.h"
+#include "workload/datasets.h"
 #include "workload/ycsb.h"
 
 namespace siri {
@@ -155,6 +156,44 @@ void BM_MptGet(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_MptGet)->Arg(10000)->Arg(100000);
+
+// One eth-ledger commit: a 200-transaction block (64 B hex keys, ~532 B
+// values) applied to a 24k-key trie. Every iteration applies one of 16
+// blocks to the same base root, so each measures the same commit shape.
+// pages_written / bytes_written are what one batch hands the store to
+// hash, upload and keep.
+void BM_MptPutBatch(benchmark::State& state) {
+  constexpr uint64_t kPreloadBlocks = 120;  // 120 x 200 = 24k keys
+  constexpr uint64_t kBlocksPerLoad = 20;
+  auto store = NewInMemoryNodeStore();
+  Mpt mpt(store);
+  EthDataset eth(1);
+  Hash base = Hash::Zero();
+  for (uint64_t b = 0; b < kPreloadBlocks; b += kBlocksPerLoad) {
+    std::vector<KV> kvs;
+    for (uint64_t i = b; i < b + kBlocksPerLoad; ++i) {
+      for (KV& kv : eth.BlockRecords(i)) kvs.push_back(std::move(kv));
+    }
+    base = *mpt.PutBatch(base, std::move(kvs));
+  }
+  std::vector<std::vector<KV>> blocks;
+  for (uint64_t i = 0; i < 16; ++i) {
+    blocks.push_back(eth.BlockRecords(kPreloadBlocks + i));
+  }
+  const NodeStore::Stats before = store->stats();
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mpt.PutBatch(base, blocks[i++ % blocks.size()]));
+  }
+  const NodeStore::Stats after = store->stats();
+  state.counters["pages_written"] = benchmark::Counter(
+      static_cast<double>(after.puts - before.puts),
+      benchmark::Counter::kAvgIterations);
+  state.counters["bytes_written"] = benchmark::Counter(
+      static_cast<double>(after.put_bytes - before.put_bytes),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_MptPutBatch)->Unit(benchmark::kMillisecond);
 
 void BM_MvmbGet(benchmark::State& state) {
   RunIndexGet(state, [](NodeStorePtr s) {

@@ -31,14 +31,6 @@ struct Mpt::Node {
   Hash child;             // extension target
   Hash children[16];      // branch slots (zero digest = empty)
 
-  int ChildCount() const {
-    int n = 0;
-    for (const Hash& c : children) {
-      if (!c.IsZero()) ++n;
-    }
-    return n;
-  }
-
   std::string Encode() const {
     std::string out;
     switch (type) {
@@ -155,224 +147,235 @@ Result<NodeT> LoadNodeImpl(NodeStore* store, const Hash& h,
 Mpt::Mpt(NodeStorePtr store) : ImmutableIndex(std::move(store)) {}
 
 // ---------------------------------------------------------------------------
-// Insert
+// Batch mutation
+//
+// A Ref is clean — the stored digest of a subtree the batch has not
+// changed, loaded only when the batch must look inside it — or dirty: an
+// owned MemNode whose children are Refs in turn, and whose digest does not
+// exist until Seal.
 
-Result<Hash> Mpt::InsertRec(NodeStore* store, const Hash& node,
-                            const uint8_t* path, size_t len, Slice value) {
-  if (node.IsZero()) {
-    Node leaf;
-    leaf.type = Node::Type::kLeaf;
-    leaf.path.assign(path, path + len);
-    leaf.value = value.ToString();
-    return store->Put(leaf.Encode());
+struct Mpt::Ref {
+  Hash hash;                     // clean subtree digest (zero = empty)
+  std::unique_ptr<MemNode> mem;  // set = dirty; `hash` is then stale
+
+  bool IsEmpty() const { return !mem && hash.IsZero(); }
+
+  static Ref Leaf(Nibbles path, Slice value);
+  static Ref Ext(Nibbles path, Ref child);
+
+  /// Stages every dirty node below this ref into \p staging, children
+  /// first, and returns the subtree digest.
+  Hash SealInto(NodeStore* staging);
+};
+
+/// A node owned by the batch tree. `node` holds its own fields; its child
+/// digests are filled in from `kids` (an extension uses kids[0]) at Seal.
+struct Mpt::MemNode {
+  Node node;
+  Ref kids[16];
+};
+
+Mpt::Ref Mpt::Ref::Leaf(Nibbles path, Slice value) {
+  Ref r;
+  r.mem = std::make_unique<MemNode>();
+  r.mem->node.type = Node::Type::kLeaf;
+  r.mem->node.path = std::move(path);
+  r.mem->node.value = value.ToString();
+  return r;
+}
+
+Mpt::Ref Mpt::Ref::Ext(Nibbles path, Ref child) {
+  Ref r;
+  r.mem = std::make_unique<MemNode>();
+  r.mem->node.type = Node::Type::kExt;
+  r.mem->node.path = std::move(path);
+  r.mem->kids[0] = std::move(child);
+  return r;
+}
+
+Hash Mpt::Ref::SealInto(NodeStore* staging) {
+  if (!mem) return hash;
+  Node& n = mem->node;
+  if (n.type == Node::Type::kExt) n.child = mem->kids[0].SealInto(staging);
+  if (n.type == Node::Type::kBranch) {
+    for (int i = 0; i < 16; ++i) n.children[i] = mem->kids[i].SealInto(staging);
+  }
+  return staging->Put(n.Encode());
+}
+
+Hash Mpt::Seal(Ref* tree) {
+  StagingNodeStore staging(store_.get());
+  const Hash root = tree->SealInto(&staging);
+  staging.FlushBatch();
+  return root;
+}
+
+Result<Mpt::MemNode*> Mpt::View(const Ref& ref,
+                                std::unique_ptr<MemNode>* loaded) const {
+  if (ref.mem) return ref.mem.get();
+  auto n = LoadNode(store_.get(), ref.hash);
+  if (!n.ok()) return n.status();
+  *loaded = std::make_unique<MemNode>();
+  MemNode* m = loaded->get();
+  m->node = std::move(*n);
+  if (m->node.type == Node::Type::kExt) m->kids[0].hash = m->node.child;
+  if (m->node.type == Node::Type::kBranch) {
+    for (int i = 0; i < 16; ++i) m->kids[i].hash = m->node.children[i];
+  }
+  return m;
+}
+
+Status Mpt::InsertRec(Ref* ref, const uint8_t* path, size_t len,
+                      Slice value) {
+  if (ref->IsEmpty()) {
+    *ref = Ref::Leaf(Nibbles(path, path + len), value);
+    return Status::OK();
+  }
+  std::unique_ptr<MemNode> loaded;
+  auto view = View(*ref, &loaded);
+  if (!view.ok()) return view.status();
+  if (loaded) ref->mem = std::move(loaded);  // every node on the path changes
+  MemNode& m = **view;
+  Node& n = m.node;
+
+  if (n.type == Node::Type::kBranch) {
+    if (len == 0) {
+      n.has_value = true;
+      n.value = value.ToString();
+      return Status::OK();
+    }
+    return InsertRec(&m.kids[path[0]], path + 1, len - 1, value);
   }
 
-  auto loaded = LoadNode(store, node);
-  if (!loaded.ok()) return loaded.status();
-  Node& n = *loaded;
+  const size_t common =
+      CommonNibblePrefix(n.path.data(), n.path.size(), path, len);
+  if (n.type == Node::Type::kLeaf && common == n.path.size() &&
+      common == len) {
+    n.value = value.ToString();  // exact key: overwrite the value
+    return Status::OK();
+  }
+  if (n.type == Node::Type::kExt && common == n.path.size()) {
+    // The whole compressed path matches: descend.
+    return InsertRec(&m.kids[0], path + common, len - common, value);
+  }
+
+  // Diverge inside this leaf's or extension's path: a branch takes over at
+  // the split point, and this node keeps the remainder below it.
+  Ref branch{Hash::Zero(), std::make_unique<MemNode>()};
+  Node& b = branch.mem->node;
+  b.type = Node::Type::kBranch;
+  if (common == n.path.size()) {
+    b.has_value = true;  // a leaf whose key ends at the split
+    b.value = std::move(n.value);
+  } else {
+    const uint8_t nibble = n.path[common];
+    if (n.type == Node::Type::kExt && common + 1 == n.path.size()) {
+      branch.mem->kids[nibble] = std::move(m.kids[0]);
+    } else {
+      n.path.erase(n.path.begin(), n.path.begin() + common + 1);
+      branch.mem->kids[nibble] = std::move(*ref);
+    }
+  }
+  if (common == len) {
+    b.has_value = true;
+    b.value = value.ToString();
+  } else {
+    branch.mem->kids[path[common]] =
+        Ref::Leaf(Nibbles(path + common + 1, path + len), value);
+  }
+  if (common == 0) {
+    *ref = std::move(branch);
+  } else {
+    *ref = Ref::Ext(Nibbles(path, path + common), std::move(branch));
+  }
+  return Status::OK();
+}
+
+Status Mpt::Reattach(const Nibbles& prefix, Ref* child) {
+  if (prefix.empty() || child->IsEmpty()) return Status::OK();
+  std::unique_ptr<MemNode> loaded;
+  auto view = View(*child, &loaded);
+  if (!view.ok()) return view.status();
+  Node& c = (*view)->node;
+  if (c.type == Node::Type::kBranch) {
+    *child = Ref::Ext(prefix, std::move(*child));
+    return Status::OK();
+  }
+  // Merge the prefix into the child's own compressed path.
+  c.path.insert(c.path.begin(), prefix.begin(), prefix.end());
+  if (loaded) child->mem = std::move(loaded);
+  return Status::OK();
+}
+
+Result<bool> Mpt::DeleteRec(Ref* ref, const uint8_t* path, size_t len) {
+  if (ref->IsEmpty()) return false;  // key absent
+  // A clean node is loaded into `loaded` and adopted only if it changes, so
+  // a miss leaves the path clean and nothing is re-staged.
+  std::unique_ptr<MemNode> loaded;
+  auto view = View(*ref, &loaded);
+  if (!view.ok()) return view.status();
+  MemNode& m = **view;
+  Node& n = m.node;
 
   switch (n.type) {
     case Node::Type::kLeaf: {
-      const size_t common =
-          CommonNibblePrefix(n.path.data(), n.path.size(), path, len);
-      if (common == n.path.size() && common == len) {
-        // Exact key: overwrite the value.
-        n.value = value.ToString();
-        return store->Put(n.Encode());
+      if (n.path.size() != len ||
+          CommonNibblePrefix(n.path.data(), n.path.size(), path, len) != len) {
+        return false;
       }
-      // Diverge: build a branch at the split point.
-      Node branch;
-      branch.type = Node::Type::kBranch;
-      if (common == n.path.size()) {
-        branch.has_value = true;
-        branch.value = n.value;
-      } else {
-        Node old_leaf;
-        old_leaf.type = Node::Type::kLeaf;
-        old_leaf.path.assign(n.path.begin() + common + 1, n.path.end());
-        old_leaf.value = n.value;
-        branch.children[n.path[common]] = store->Put(old_leaf.Encode());
-      }
-      if (common == len) {
-        branch.has_value = true;
-        branch.value = value.ToString();
-      } else {
-        Node new_leaf;
-        new_leaf.type = Node::Type::kLeaf;
-        new_leaf.path.assign(path + common + 1, path + len);
-        new_leaf.value = value.ToString();
-        branch.children[path[common]] = store->Put(new_leaf.Encode());
-      }
-      Hash branch_hash = store->Put(branch.Encode());
-      if (common == 0) return branch_hash;
-      Node ext;
-      ext.type = Node::Type::kExt;
-      ext.path.assign(path, path + common);
-      ext.child = branch_hash;
-      return store->Put(ext.Encode());
-    }
-
-    case Node::Type::kExt: {
-      const size_t common =
-          CommonNibblePrefix(n.path.data(), n.path.size(), path, len);
-      if (common == n.path.size()) {
-        // The whole compressed path matches: descend.
-        auto child =
-            InsertRec(store, n.child, path + common, len - common, value);
-        if (!child.ok()) return child.status();
-        n.child = *child;
-        return store->Put(n.Encode());
-      }
-      // Split the extension at the divergence point.
-      Node branch;
-      branch.type = Node::Type::kBranch;
-      {
-        // Remainder of the extension path below the branch.
-        const size_t rest = n.path.size() - common - 1;
-        if (rest == 0) {
-          branch.children[n.path[common]] = n.child;
-        } else {
-          Node sub;
-          sub.type = Node::Type::kExt;
-          sub.path.assign(n.path.begin() + common + 1, n.path.end());
-          sub.child = n.child;
-          branch.children[n.path[common]] = store->Put(sub.Encode());
-        }
-      }
-      if (common == len) {
-        branch.has_value = true;
-        branch.value = value.ToString();
-      } else {
-        Node leaf;
-        leaf.type = Node::Type::kLeaf;
-        leaf.path.assign(path + common + 1, path + len);
-        leaf.value = value.ToString();
-        branch.children[path[common]] = store->Put(leaf.Encode());
-      }
-      Hash branch_hash = store->Put(branch.Encode());
-      if (common == 0) return branch_hash;
-      Node ext;
-      ext.type = Node::Type::kExt;
-      ext.path.assign(path, path + common);
-      ext.child = branch_hash;
-      return store->Put(ext.Encode());
-    }
-
-    case Node::Type::kBranch: {
-      if (len == 0) {
-        n.has_value = true;
-        n.value = value.ToString();
-        return store->Put(n.Encode());
-      }
-      auto child =
-          InsertRec(store, n.children[path[0]], path + 1, len - 1, value);
-      if (!child.ok()) return child.status();
-      n.children[path[0]] = *child;
-      return store->Put(n.Encode());
-    }
-  }
-  return Status::Corruption("unreachable");
-}
-
-// ---------------------------------------------------------------------------
-// Delete
-
-Result<Hash> Mpt::Reattach(NodeStore* store, const Nibbles& prefix,
-                           const Hash& child) {
-  if (prefix.empty()) return child;
-  auto loaded = LoadNode(store, child);
-  if (!loaded.ok()) return loaded.status();
-  Node& c = *loaded;
-  switch (c.type) {
-    case Node::Type::kLeaf:
-    case Node::Type::kExt: {
-      // Merge the prefix into the child's own compressed path.
-      Nibbles merged = prefix;
-      merged.insert(merged.end(), c.path.begin(), c.path.end());
-      c.path = std::move(merged);
-      return store->Put(c.Encode());
-    }
-    case Node::Type::kBranch: {
-      Node ext;
-      ext.type = Node::Type::kExt;
-      ext.path = prefix;
-      ext.child = child;
-      return store->Put(ext.Encode());
-    }
-  }
-  return Status::Corruption("unreachable");
-}
-
-Result<Hash> Mpt::DeleteRec(NodeStore* store, const Hash& node,
-                            const uint8_t* path, size_t len, bool* changed) {
-  *changed = false;
-  if (node.IsZero()) return node;  // key absent
-
-  auto loaded = LoadNode(store, node);
-  if (!loaded.ok()) return loaded.status();
-  Node& n = *loaded;
-
-  switch (n.type) {
-    case Node::Type::kLeaf: {
-      if (n.path.size() == len &&
-          CommonNibblePrefix(n.path.data(), n.path.size(), path, len) == len) {
-        *changed = true;
-        return Hash::Zero();  // leaf removed
-      }
-      return node;
+      *ref = Ref();  // leaf removed
+      return true;
     }
 
     case Node::Type::kExt: {
       if (len < n.path.size() ||
           CommonNibblePrefix(n.path.data(), n.path.size(), path, len) !=
               n.path.size()) {
-        return node;  // key not under this extension
+        return false;  // key not under this extension
       }
-      bool child_changed = false;
-      auto child = DeleteRec(store, n.child, path + n.path.size(),
-                             len - n.path.size(), &child_changed);
-      if (!child.ok()) return child.status();
-      if (!child_changed) return node;
-      *changed = true;
-      if (child->IsZero()) return Hash::Zero();  // whole subtree gone
-      // The child may have collapsed to a leaf/ext: merge paths.
-      return Reattach(store, n.path, *child);
+      auto changed =
+          DeleteRec(&m.kids[0], path + n.path.size(), len - n.path.size());
+      if (!changed.ok() || !*changed) return changed;
+      // The child may be gone, or have collapsed to a leaf/ext: merge paths.
+      Ref child = std::move(m.kids[0]);
+      Status s = Reattach(n.path, &child);
+      if (!s.ok()) return s;
+      *ref = std::move(child);
+      return true;
     }
 
     case Node::Type::kBranch: {
       if (len == 0) {
-        if (!n.has_value) return node;  // nothing stored here
+        if (!n.has_value) return false;  // nothing stored here
         n.has_value = false;
         n.value.clear();
       } else {
-        const uint8_t slot = path[0];
-        bool child_changed = false;
-        auto child = DeleteRec(store, n.children[slot], path + 1, len - 1,
-                               &child_changed);
-        if (!child.ok()) return child.status();
-        if (!child_changed) return node;
-        n.children[slot] = *child;
+        auto changed = DeleteRec(&m.kids[path[0]], path + 1, len - 1);
+        if (!changed.ok() || !*changed) return changed;
       }
-      *changed = true;
 
       // Normalize the branch after the removal.
-      const int child_count = n.ChildCount();
-      if (child_count == 0) {
-        if (!n.has_value) return Hash::Zero();
-        Node leaf;
-        leaf.type = Node::Type::kLeaf;
-        leaf.value = std::move(n.value);
-        return store->Put(leaf.Encode());
+      int children = 0;
+      uint8_t last = 0;
+      for (uint8_t i = 0; i < 16; ++i) {
+        if (m.kids[i].IsEmpty()) continue;
+        ++children;
+        last = i;
       }
-      if (child_count == 1 && !n.has_value) {
+      if (children == 0) {
+        *ref = n.has_value ? Ref::Leaf({}, n.value) : Ref();
+        return true;
+      }
+      if (children == 1 && !n.has_value) {
         // Collapse: merge the lone child into its selecting nibble.
-        for (uint8_t i = 0; i < 16; ++i) {
-          if (!n.children[i].IsZero()) {
-            return Reattach(store, Nibbles{i}, n.children[i]);
-          }
-        }
+        Ref child = std::move(m.kids[last]);
+        Status s = Reattach(Nibbles{last}, &child);
+        if (!s.ok()) return s;
+        *ref = std::move(child);
+        return true;
       }
-      return store->Put(n.Encode());
+      if (loaded) ref->mem = std::move(loaded);
+      return true;
     }
   }
   return Status::Corruption("unreachable");
@@ -382,34 +385,23 @@ Result<Hash> Mpt::DeleteRec(NodeStore* store, const Hash& node,
 // Public write API
 
 Result<Hash> Mpt::PutBatch(const Hash& root, std::vector<KV> kvs) {
-  // The whole batch writes into one staging batch: intermediate roots
-  // (after each key) live only in the staging buffer, which the recursion
-  // reads through; the dirty nodes of the final version are flushed to the
-  // backing store in a single PutMany before the root escapes.
-  StagingNodeStore staging(store_.get());
-  Hash cur = root;
+  Ref tree{root, nullptr};
   for (const KV& kv : kvs) {
     const Nibbles path = KeyToNibbles(kv.key);
-    auto next = InsertRec(&staging, cur, path.data(), path.size(), kv.value);
-    if (!next.ok()) return next.status();
-    cur = *next;
+    Status s = InsertRec(&tree, path.data(), path.size(), kv.value);
+    if (!s.ok()) return s;
   }
-  staging.FlushBatch();
-  return cur;
+  return Seal(&tree);
 }
 
 Result<Hash> Mpt::DeleteBatch(const Hash& root, std::vector<std::string> keys) {
-  StagingNodeStore staging(store_.get());
-  Hash cur = root;
+  Ref tree{root, nullptr};
   for (const std::string& k : keys) {
     const Nibbles path = KeyToNibbles(k);
-    bool changed = false;
-    auto next = DeleteRec(&staging, cur, path.data(), path.size(), &changed);
-    if (!next.ok()) return next.status();
-    if (changed) cur = *next;
+    auto changed = DeleteRec(&tree, path.data(), path.size());
+    if (!changed.ok()) return changed.status();
   }
-  staging.FlushBatch();
-  return cur;
+  return Seal(&tree);
 }
 
 // ---------------------------------------------------------------------------

@@ -47,20 +47,28 @@ class Mpt : public ImmutableIndex {
   std::unique_ptr<ImmutableIndex> WithStore(NodeStorePtr store) const override;
 
  private:
-  struct Node;   // decoded node (branch / extension / leaf)
-  struct VNode;  // virtual view of a node at a nibble offset (diff helper)
+  struct Node;     // decoded node (branch / extension / leaf)
+  struct VNode;    // virtual view of a node at a nibble offset (diff helper)
+  struct Ref;      // batch-tree slot: clean stored digest or dirty MemNode
+  struct MemNode;  // node owned and edited in memory by a batch
 
-  // The mutation recursion reads and writes through \p store — the staging
-  // batch of the enclosing PutBatch/DeleteBatch — so a whole batch's dirty
-  // root-to-leaf paths are collected locally and flushed with one PutMany.
-  Result<Hash> InsertRec(NodeStore* store, const Hash& node,
-                         const uint8_t* path, size_t len, Slice value);
-  Result<Hash> DeleteRec(NodeStore* store, const Hash& node,
-                         const uint8_t* path, size_t len, bool* changed);
+  // The mutation path. A batch applies its keys to an in-memory tree of
+  // Refs: InsertRec/DeleteRec/Reattach split, collapse and re-merge nodes
+  // there, loading clean nodes through store_ as they go, and never encode
+  // or hash. Seal then encodes and digests each dirty node exactly once,
+  // children first, into one staging batch flushed with a single PutMany —
+  // so every page a batch writes is reachable from the root it returns.
+  Status InsertRec(Ref* ref, const uint8_t* path, size_t len, Slice value);
+  /// Returns whether the key was present; \p ref is dirtied only if so.
+  Result<bool> DeleteRec(Ref* ref, const uint8_t* path, size_t len);
   /// Re-attaches \p prefix in front of the subtree \p child, merging with
   /// the child's own compressed path (used after branch collapse).
-  Result<Hash> Reattach(NodeStore* store, const Nibbles& prefix,
-                        const Hash& child);
+  Status Reattach(const Nibbles& prefix, Ref* child);
+  /// The node behind non-empty \p ref: its MemNode when dirty, else the
+  /// stored node decoded into \p loaded (which the caller may adopt).
+  Result<MemNode*> View(const Ref& ref,
+                        std::unique_ptr<MemNode>* loaded) const;
+  Hash Seal(Ref* tree);
 
   Status ScanRec(const Hash& node, Nibbles* prefix,
                  const std::function<void(Slice, Slice)>& fn) const;

@@ -53,8 +53,14 @@ void EncodeNibblePath(std::string* out, const uint8_t* nibbles, size_t count) {
 bool DecodeNibblePath(Slice* in, Nibbles* out) {
   uint64_t count = 0;
   if (!GetVarint64(in, &count)) return false;
+  // Bound the count before any arithmetic: (count + 1) wraps at UINT64_MAX.
+  if (count > 2 * static_cast<uint64_t>(in->size())) return false;
   const size_t bytes = (count + 1) / 2;
   if (in->size() < bytes) return false;
+  // An odd path's pad nibble must be zero, or one path has two encodings.
+  if (count % 2 == 1 && (static_cast<uint8_t>((*in)[bytes - 1]) & 0xf) != 0) {
+    return false;
+  }
   out->clear();
   out->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

@@ -34,7 +34,8 @@ size_t CommonNibblePrefix(const uint8_t* a, size_t alen, const uint8_t* b,
 void EncodeNibblePath(std::string* out, const uint8_t* nibbles, size_t count);
 
 /// Parses a compact path encoding, advancing \p in. Returns false on
-/// malformed input.
+/// malformed input: a count longer than the input, or a non-zero pad
+/// nibble after an odd-length path (so every path has one encoding).
 bool DecodeNibblePath(Slice* in, Nibbles* out);
 
 }  // namespace siri

@@ -9,10 +9,11 @@
 // acquisition per shard / one log append / one upload RPC).
 //
 // Reads fall through to the buffer first, so a mutation that re-reads
-// nodes it just produced (MPT applying the next key of a batch to the
-// staged root, POS re-chunking the level above) sees them before they are
-// flushed. The roots an index returns are only handed to callers after
-// FlushBatch(), so staged nodes are never visible outside the mutation.
+// nodes it just produced (POS re-chunking the level above, a merge's
+// DeleteBatch walking the root its PutBatch just staged) sees them before
+// they are flushed. The roots an index returns are only handed to callers
+// after FlushBatch(), so staged nodes are never visible outside the
+// mutation.
 
 #ifndef SIRI_STORE_STAGING_STORE_H_
 #define SIRI_STORE_STAGING_STORE_H_

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/varint.h"
 #include "crypto/sha256.h"
 #include "index/mpt/nibbles.h"
 #include "index/ordered/node_codec.h"
@@ -163,6 +164,36 @@ TEST(NibblesTest, PathEncodingRoundTrip) {
     EXPECT_EQ(back, path);
     EXPECT_TRUE(in.empty());
   }
+}
+
+TEST(NibblesTest, RejectsCountLongerThanInput) {
+  // count = 2^64-1 once wrapped (count + 1) / 2 to 0 bytes and then
+  // reserved 2^64-1 nibbles; any count beyond the input is malformed.
+  for (uint64_t count : {~uint64_t{0}, ~uint64_t{0} - 1, uint64_t{1} << 63,
+                         uint64_t{5}}) {
+    std::string buf;
+    PutVarint64(&buf, count);
+    buf.append("\x12", 1);
+    Slice in(buf);
+    Nibbles out;
+    EXPECT_FALSE(DecodeNibblePath(&in, &out)) << count;
+  }
+}
+
+TEST(NibblesTest, RejectsNonZeroPadNibble) {
+  // The odd path {5} encodes as 0x50; 0x5f must not decode to it too.
+  const Nibbles path = {5};
+  std::string canonical;
+  EncodeNibblePath(&canonical, path.data(), path.size());
+  ASSERT_EQ(canonical, std::string("\x01\x50", 2));
+  Slice in(canonical);
+  Nibbles out;
+  ASSERT_TRUE(DecodeNibblePath(&in, &out));
+  EXPECT_EQ(out, path);
+
+  const std::string padded("\x01\x5f", 2);
+  Slice bad(padded);
+  EXPECT_FALSE(DecodeNibblePath(&bad, &out));
 }
 
 TEST(NibblesTest, CommonPrefixLength) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "common/random.h"
 #include "tests/test_util.h"
@@ -284,6 +285,83 @@ TEST_P(IndexPropertyTest, ScanVisitsEachKeyExactlyOnce) {
           .ok());
   EXPECT_EQ(seen.size(), 333u);
   for (const auto& [k, count] : seen) EXPECT_EQ(count, 1) << k;
+}
+
+// Records the digest of every page handed to the wrapped store.
+class RecordingNodeStore : public NodeStore {
+ public:
+  explicit RecordingNodeStore(NodeStorePtr base) : base_(std::move(base)) {}
+
+  Hash Put(Slice bytes) override {
+    const Hash h = base_->Put(bytes);
+    written_.push_back(h);
+    return h;
+  }
+  void PutMany(const NodeBatch& batch) override {
+    for (const NodeRecord& r : batch) written_.push_back(r.hash);
+    base_->PutMany(batch);
+  }
+  Result<std::shared_ptr<const std::string>> Get(const Hash& h) override {
+    return base_->Get(h);
+  }
+  bool Contains(const Hash& h) const override { return base_->Contains(h); }
+  Result<uint64_t> SizeOf(const Hash& h) const override {
+    return base_->SizeOf(h);
+  }
+  Stats stats() const override { return base_->stats(); }
+  void ResetOpCounters() override { base_->ResetOpCounters(); }
+
+  /// Returns and forgets the digests recorded since the last call.
+  std::vector<Hash> TakeWritten() { return std::exchange(written_, {}); }
+
+ private:
+  NodeStorePtr base_;
+  std::vector<Hash> written_;
+};
+
+TEST_P(IndexPropertyTest, WrittenPagesAreReachableFromNewRoot) {
+  // A batch may write only pages of the version it returns: anything else
+  // is hashed, uploaded, made durable and kept forever for nothing.
+  auto recorder = std::make_shared<RecordingNodeStore>(store_);
+  auto index = MakeIndex(GetParam(), recorder);
+  auto base = index->PutBatch(index->EmptyRoot(), MakeKvs(2000));
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  Hash root = *base;
+  Rng rng(0x5eed + static_cast<int>(GetParam()));
+  // Per operation: {pages written, of which unreachable}.
+  std::map<std::string, std::pair<size_t, size_t>> tally;
+  auto check = [&](const Hash& new_root, const std::string& op) {
+    PageSet pages;
+    ASSERT_TRUE(index->CollectPages(new_root, &pages).ok());
+    for (const Hash& h : recorder->TakeWritten()) {
+      ++tally[op].first;
+      if (!pages.count(h)) ++tally[op].second;
+    }
+  };
+  recorder->TakeWritten();  // the 2k-key build
+  for (int round = 0; round < 10; ++round) {
+    std::vector<KV> puts;
+    for (int i = 0; i < 100; ++i) {
+      const int key = static_cast<int>(rng.Uniform(2600));  // ~1/4 inserts
+      puts.push_back(KV{TKey(key), TVal(key, round + 1)});
+    }
+    auto r1 = index->PutBatch(root, puts);
+    ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+    check(*r1, "PutBatch");
+    std::vector<std::string> dels;
+    for (int i = 0; i < 50; ++i) {
+      dels.push_back(TKey(static_cast<int>(rng.Uniform(2600))));
+    }
+    auto r2 = index->DeleteBatch(*r1, dels);
+    ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+    check(*r2, "DeleteBatch");
+    root = *r2;
+  }
+  for (const auto& [op, counts] : tally) {
+    EXPECT_EQ(counts.second, 0u) << op << ": " << counts.second << " of "
+                                 << counts.first
+                                 << " written pages unreachable";
+  }
 }
 
 // --- SIRI property: Structurally Invariant (§3.2, Definition 3.1(1)) ---

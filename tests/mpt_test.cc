@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "common/varint.h"
 #include "index/mpt/mpt.h"
 #include "tests/test_util.h"
 
@@ -186,6 +188,133 @@ TEST_F(MptTest, EmptyKeySupported) {
   auto r2 = mpt_->Put(*r, "a", "x");
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(mpt_->Get(*r2, "", nullptr)->has_value());
+}
+
+// The root of content built from scratch in one sorted batch.
+Hash FromScratch(Mpt& mpt, const std::map<std::string, std::string>& model) {
+  std::vector<KV> kvs;
+  for (const auto& [k, v] : model) kvs.push_back(KV{k, v});
+  auto r = mpt.PutBatch(Hash::Zero(), kvs);
+  EXPECT_TRUE(r.ok());
+  return r.ok() ? *r : Hash::Zero();
+}
+
+TEST_F(MptTest, RandomBatchesMatchFromScratchBuild) {
+  // Short keys over a three-letter alphabet behind a few shared prefixes:
+  // every batch splits leaves and extensions, lands values on branches
+  // (keys that prefix other keys, the empty key included), and repeats
+  // keys within a batch, where the last value must win.
+  Rng rng(17);
+  const char* prefixes[] = {"", "pre-", "prefix-long-"};
+  auto random_key = [&] {
+    std::string k = prefixes[rng.Uniform(3)];
+    for (size_t n = rng.Uniform(6); n > 0; --n) {
+      k.push_back("abc"[rng.Uniform(3)]);
+    }
+    return k;
+  };
+  std::map<std::string, std::string> model;
+  Hash root = Hash::Zero();
+  for (int round = 0; round < 40; ++round) {
+    std::vector<KV> puts;
+    for (size_t n = 1 + rng.Uniform(40); n > 0; --n) {
+      puts.push_back(
+          KV{random_key(), "v" + std::to_string(rng.Uniform(1000))});
+    }
+    std::vector<std::string> dels;
+    for (size_t n = rng.Uniform(20); n > 0; --n) {
+      // Half present keys, half (mostly) absent ones.
+      if (rng.Bernoulli(0.5) && !model.empty()) {
+        auto it = model.begin();
+        std::advance(it, rng.Uniform(model.size()));
+        dels.push_back(it->first);
+      } else {
+        dels.push_back(random_key() + "~");
+      }
+    }
+    auto r1 = mpt_->PutBatch(root, puts);
+    ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+    for (const KV& kv : puts) model[kv.key] = kv.value;
+    EXPECT_EQ(*r1, FromScratch(*mpt_, model)) << "round " << round;
+    auto r2 = mpt_->DeleteBatch(*r1, dels);
+    ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+    for (const std::string& k : dels) model.erase(k);
+    EXPECT_EQ(*r2, FromScratch(*mpt_, model)) << "round " << round;
+    root = *r2;
+  }
+  EXPECT_EQ(Dump(*mpt_, root), model);
+
+  // Deleting everything (plus absent keys) empties the trie.
+  std::vector<std::string> all = {"absent", "prefix-"};
+  for (const auto& [k, v] : model) all.push_back(k);
+  auto empty = mpt_->DeleteBatch(root, all);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->IsZero());
+  auto still_empty = mpt_->DeleteBatch(Hash::Zero(), {"absent"});
+  ASSERT_TRUE(still_empty.ok());
+  EXPECT_TRUE(still_empty->IsZero());
+}
+
+TEST_F(MptTest, DeleteCollapsesOntoUnloadedChild) {
+  // Deleting "z" leaves the root branch one child, a subtree the batch has
+  // not loaded: a branch ("a1"/"b1" split at their second nibble) or an
+  // extension (the "key…" run). Both must re-merge into canonical form.
+  for (const auto& survivors :
+       {std::vector<KV>{{"a1", "1"}, {"b1", "2"}}, MakeKvs(50)}) {
+    std::map<std::string, std::string> model;
+    for (const KV& kv : survivors) model[kv.key] = kv.value;
+    std::vector<KV> with_z = survivors;
+    with_z.push_back(KV{"z", "gone"});
+    auto full = mpt_->PutBatch(Hash::Zero(), with_z);
+    ASSERT_TRUE(full.ok());
+    auto after = mpt_->DeleteBatch(*full, {"z", "absent"});
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(*after, FromScratch(*mpt_, model));
+    EXPECT_EQ(Dump(*mpt_, *after), model);
+  }
+}
+
+TEST_F(MptTest, RootDigestIsPinned) {
+  // The node encoding and the canonical shape together fix the root digest
+  // of a given content; a change to the mutation path must not move it.
+  auto r1 = mpt_->PutBatch(Hash::Zero(), MakeKvs(300));
+  ASSERT_TRUE(r1.ok());
+  std::vector<std::string> dels;
+  for (int i = 0; i < 300; i += 7) dels.push_back(TKey(i));
+  auto r2 = mpt_->DeleteBatch(*r1, dels);
+  ASSERT_TRUE(r2.ok());
+  auto r3 = mpt_->PutBatch(*r2, {{"", "empty"}, {"key", "prefix"}});
+  ASSERT_TRUE(r3.ok());
+  EXPECT_EQ(r1->ToHex(),
+            "aa7482f77d2c7756f43fe03d1fcdd5e8e142f7c8abc085c6b2824e4e173bed91");
+  EXPECT_EQ(r3->ToHex(),
+            "f99682e53a9ff52f79ad05b80b5be0094c81b6f9b4054d190939f50a329cf4d1");
+}
+
+TEST_F(MptTest, MalformedPathPageIsCorruption) {
+  // A leaf whose varint path count is 2^64-1, and a leaf whose odd path
+  // carries a non-zero pad nibble (a second encoding of path {5}).
+  std::string huge(1, 'l');
+  PutVarint64(&huge, ~uint64_t{0});
+  const std::string padded("l\x01\x5f\x01v", 5);
+  auto good = mpt_->PutBatch(Hash::Zero(), MakeKvs(20));
+  ASSERT_TRUE(good.ok());
+  for (const std::string& page : {huge, padded}) {
+    const Hash bad = store_->Put(page);
+    auto got = mpt_->Get(bad, "k", nullptr);
+    EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+    Status scan = mpt_->Scan(bad, [](Slice, Slice) {});
+    EXPECT_TRUE(scan.IsCorruption()) << scan.ToString();
+    auto diff = mpt_->Diff(*good, bad);
+    EXPECT_TRUE(diff.status().IsCorruption()) << diff.status().ToString();
+
+    // Reached below a well-formed branch: slot 6 routes key "a" (0x61).
+    std::string branch("n\x40\x00\x00", 4);
+    branch.append(reinterpret_cast<const char*>(bad.data()), Hash::kSize);
+    const Hash parent = store_->Put(branch);
+    auto below = mpt_->Get(parent, "a", nullptr);
+    EXPECT_TRUE(below.status().IsCorruption()) << below.status().ToString();
+  }
 }
 
 }  // namespace
