@@ -1,13 +1,18 @@
 // Copyright (c) 2026 The siri Authors. MIT license.
 //
 // google-benchmark microbenchmarks for the substrates: SHA-256 digesting,
-// rolling-hash throughput, node codec encode/decode, store puts/gets, and
+// rolling-hash throughput, node codec encode/decode, store puts/gets (in
+// memory and through the disk-backed store's page cache), and
 // per-structure point operations. These are not paper figures; they guard
 // against substrate-level performance regressions.
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 #include "common/random.h"
 #include "crypto/rolling_hash.h"
@@ -18,6 +23,7 @@
 #include "index/mvmb/mvmb_tree.h"
 #include "index/ordered/node_codec.h"
 #include "index/pos/pos_tree.h"
+#include "store/file_store.h"
 #include "store/node_store.h"
 #include "workload/datasets.h"
 #include "workload/ycsb.h"
@@ -115,6 +121,64 @@ void BM_StorePutGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StorePutGet);
+
+// Get on the disk-backed store, ns per call, over 8 MiB of 1 KiB pages.
+// /hit: every page cached. /miss: a cache 1/8 of the data, so about 7 in
+// 8 Gets read the page from the log and re-digest it.
+void BM_FileStoreGet(benchmark::State& state, uint64_t cache_divisor) {
+  constexpr int kPages = 8192;
+  constexpr size_t kPageBytes = 1024;
+  constexpr uint64_t kDataBytes = uint64_t{kPages} * kPageBytes;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("siri_bm_file_store_" + std::to_string(getpid()) + ".log"))
+          .string();
+  std::remove(path.c_str());
+  Rng rng(6);
+  std::vector<Hash> hashes;
+  {
+    std::shared_ptr<FileNodeStore> writer;
+    if (!FileNodeStore::Open(path, &writer).ok()) {
+      state.SkipWithError("cannot open the page log");
+      return;
+    }
+    NodeBatch batch;
+    for (int i = 0; i < kPages; ++i) {
+      NodeRecord rec;
+      rec.bytes = std::make_shared<const std::string>(rng.Bytes(kPageBytes));
+      rec.hash = Sha256::Digest(*rec.bytes);
+      hashes.push_back(rec.hash);
+      batch.push_back(std::move(rec));
+    }
+    writer->PutMany(batch);
+    if (!writer->Flush().ok()) {
+      state.SkipWithError("cannot flush the page log");
+      return;
+    }
+  }
+  const uint64_t cache_bytes =
+      cache_divisor == 0 ? 2 * kDataBytes : kDataBytes / cache_divisor;
+  std::shared_ptr<FileNodeStore> store;
+  if (!FileNodeStore::Open(io::Env::Default(), path, &store, cache_bytes)
+           .ok()) {
+    state.SkipWithError("cannot reopen the page log");
+    return;
+  }
+  for (const Hash& h : hashes) benchmark::DoNotOptimize(store->Get(h));
+  const NodeCache::Stats before = store->page_cache_stats();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store->Get(hashes[rng.Uniform(hashes.size())]));
+  }
+  const NodeCache::Stats after = store->page_cache_stats();
+  const double lookups = static_cast<double>(after.hits + after.misses -
+                                             before.hits - before.misses);
+  state.counters["miss_ratio"] =
+      lookups == 0 ? 0.0 : (after.misses - before.misses) / lookups;
+  store.reset();
+  std::remove(path.c_str());
+}
+BENCHMARK_CAPTURE(BM_FileStoreGet, hit, uint64_t{0});
+BENCHMARK_CAPTURE(BM_FileStoreGet, miss, uint64_t{8});
 
 template <typename MakeIndexFn>
 void RunIndexGet(benchmark::State& state, MakeIndexFn make_index) {

@@ -20,17 +20,26 @@
 
 namespace siri {
 
-/// Parses one framed record from *in (advancing it) into *payload and
-/// *stored. Returns false when the remaining bytes do not frame a whole
-/// record (torn tail / corrupt length). Does NOT verify the digest.
-inline bool ReadDigestRecord(Slice* in, std::string* payload, Hash* stored) {
+/// Parses one framed record from *in (advancing it); *payload points into
+/// the input, so it is valid only as long as the input bytes are. Returns
+/// false when the remaining bytes do not frame a whole record (torn tail /
+/// corrupt length). Does NOT verify the digest.
+inline bool ReadDigestRecord(Slice* in, Slice* payload, Hash* stored) {
   uint64_t len = 0;
   if (!GetVarint64(in, &len)) return false;
   if (in->size() < Hash::kSize || in->size() - Hash::kSize < len) return false;
   *stored = Hash::FromBytes(in->data());
   in->remove_prefix(Hash::kSize);
-  payload->assign(in->data(), len);
-  in->remove_prefix(len);
+  *payload = Slice(in->data(), static_cast<size_t>(len));
+  in->remove_prefix(static_cast<size_t>(len));
+  return true;
+}
+
+/// Same, copying the payload into *payload.
+inline bool ReadDigestRecord(Slice* in, std::string* payload, Hash* stored) {
+  Slice view;
+  if (!ReadDigestRecord(in, &view, stored)) return false;
+  payload->assign(view.data(), view.size());
   return true;
 }
 

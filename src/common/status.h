@@ -65,6 +65,7 @@ class [[nodiscard]] Status {
   bool ok() const { return code_ == Code::kOk; }
   bool IsNotFound() const { return code_ == Code::kNotFound; }
   bool IsCorruption() const { return code_ == Code::kCorruption; }
+  bool IsIOError() const { return code_ == Code::kIOError; }
   bool IsInvalidArgument() const { return code_ == Code::kInvalidArgument; }
   bool IsConflict() const { return code_ == Code::kConflict; }
   bool IsResourceExhausted() const {

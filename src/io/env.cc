@@ -103,6 +103,36 @@ class PosixSequentialFile : public SequentialFile {
   FILE* file_;
 };
 
+class PosixRandomAccessFile : public RandomAccessFile {
+ public:
+  PosixRandomAccessFile(std::string path, int fd)
+      : path_(std::move(path)), fd_(fd) {}
+
+  ~PosixRandomAccessFile() override { ::close(fd_); }
+
+  [[nodiscard]] Status Read(uint64_t offset, size_t n,
+                            char* scratch) const override {
+    size_t done = 0;
+    while (done < n) {
+      const ssize_t got = ::pread(fd_, scratch + done, n - done,
+                                  static_cast<off_t>(offset + done));
+      if (got < 0) {
+        if (errno == EINTR) continue;
+        return PosixError("pread " + path_, errno);
+      }
+      if (got == 0) {
+        return Status::IOError("pread " + path_ + ": unexpected end of file");
+      }
+      done += static_cast<size_t>(got);
+    }
+    return Status::OK();
+  }
+
+ private:
+  std::string path_;
+  int fd_;
+};
+
 class PosixEnv : public Env {
  public:
   [[nodiscard]] Status NewWritableFile(
@@ -162,6 +192,14 @@ class PosixEnv : public Env {
 };
 
 }  // namespace
+
+Status Env::NewRandomAccessFile(const std::string& path,
+                                std::unique_ptr<RandomAccessFile>* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return PosixError("cannot open " + path, errno);
+  *out = std::make_unique<PosixRandomAccessFile>(path, fd);
+  return Status::OK();
+}
 
 Status Env::ReadFileToString(const std::string& path, std::string* out) {
   out->clear();

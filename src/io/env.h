@@ -8,6 +8,9 @@
 // stable storage, and RenameAndSyncDir() makes an atomic replace durable
 // (a rename is only crash-safe once the parent directory's entry update
 // is itself fsynced — forgetting that is a classic torn-recovery bug).
+// The page store's read path goes through the same seam: a
+// RandomAccessFile serves positional reads of pages the store no longer
+// keeps in memory.
 //
 // Env::Default() returns the process-wide PosixEnv. Tests wrap any Env in
 // io::FaultEnv (fault_env.h) to inject short writes, EIO, ENOSPC, fsync
@@ -20,6 +23,7 @@
 #ifndef SIRI_IO_ENV_H_
 #define SIRI_IO_ENV_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -68,6 +72,21 @@ class SequentialFile {
                                               std::string* scratch) = 0;
 };
 
+/// \brief Positional read handle (the page store's read path).
+///
+/// Sees what the OS sees: bytes a WritableFile still buffers (appended
+/// but not yet Flush()ed or Sync()ed) may be invisible to it.
+class RandomAccessFile {
+ public:
+  virtual ~RandomAccessFile() = default;
+
+  /// Reads exactly \p n bytes at \p offset into \p scratch. A read that
+  /// reaches end of file early is an IOError. Safe to call concurrently
+  /// from many threads.
+  [[nodiscard]] virtual Status Read(uint64_t offset, size_t n,
+                                    char* scratch) const = 0;
+};
+
 /// \brief Abstract file system. Implementations must be thread-safe.
 class Env {
  public:
@@ -84,6 +103,12 @@ class Env {
 
   [[nodiscard]] virtual Status NewSequentialFile(
       const std::string& path, std::unique_ptr<SequentialFile>* out) = 0;
+
+  /// Opens \p path for positional reads. The default is the POSIX
+  /// implementation (pread on a descriptor of its own), so an Env that
+  /// decorates only the write path inherits a working read path.
+  [[nodiscard]] virtual Status NewRandomAccessFile(
+      const std::string& path, std::unique_ptr<RandomAccessFile>* out);
 
   /// Reads the whole file into \p out (replacing its contents).
   [[nodiscard]] virtual Status ReadFileToString(const std::string& path,

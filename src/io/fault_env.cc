@@ -21,6 +21,8 @@ const char* IoFaultKindName(IoFaultKind k) {
       return "sync-fail";
     case IoFaultKind::kPowerCut:
       return "power-cut";
+    case IoFaultKind::kBitFlip:
+      return "bit-flip";
   }
   return "unknown";
 }
@@ -71,6 +73,30 @@ class FaultWritableFile : public WritableFile {
   std::unique_ptr<WritableFile> base_;
 };
 
+/// Positional read handle for both modes, shaped like FaultWritableFile:
+/// `inode` set in buffered mode, `base` set in passthrough mode.
+class FaultRandomAccessFile : public RandomAccessFile {
+ public:
+  FaultRandomAccessFile(FaultEnv* env, std::string path,
+                        std::shared_ptr<FaultEnv::MemInode> inode,
+                        std::unique_ptr<RandomAccessFile> base)
+      : env_(env),
+        path_(std::move(path)),
+        inode_(std::move(inode)),
+        base_(std::move(base)) {}
+
+  [[nodiscard]] Status Read(uint64_t offset, size_t n,
+                            char* scratch) const override {
+    return env_->ReadAt(inode_, base_.get(), path_, offset, n, scratch);
+  }
+
+ private:
+  FaultEnv* const env_;
+  const std::string path_;
+  std::shared_ptr<FaultEnv::MemInode> inode_;
+  std::unique_ptr<RandomAccessFile> base_;
+};
+
 namespace {
 
 /// Reads from a snapshot taken at open — matching POSIX, where a reader
@@ -108,6 +134,20 @@ void FaultEnv::ScriptNext(IoFaultAction action) {
   script_[next_index_] = action;
 }
 
+void FaultEnv::ScriptReadAt(uint64_t index, IoFaultKind kind) {
+  SIRI_CHECK((kind == IoFaultKind::kEIO || kind == IoFaultKind::kBitFlip) &&
+             "read faults are EIO or a bit flip");
+  MutexLock lock(mu_);
+  read_script_[index] = kind;
+}
+
+void FaultEnv::ScriptNextRead(IoFaultKind kind) {
+  SIRI_CHECK((kind == IoFaultKind::kEIO || kind == IoFaultKind::kBitFlip) &&
+             "read faults are EIO or a bit flip");
+  MutexLock lock(mu_);
+  read_script_[next_read_] = kind;
+}
+
 void FaultEnv::set_crash_at_op(uint64_t index) {
   MutexLock lock(mu_);
   crash_at_ = index;
@@ -136,6 +176,11 @@ FaultEnv::Stats FaultEnv::stats() const {
 uint64_t FaultEnv::op_count() const {
   MutexLock lock(mu_);
   return next_index_;
+}
+
+uint64_t FaultEnv::read_count() const {
+  MutexLock lock(mu_);
+  return next_read_;
 }
 
 Result<uint64_t> FaultEnv::DurableSize(const std::string& path) {
@@ -310,6 +355,44 @@ Status FaultEnv::ForwardSync(WritableFile* base, const std::string& path) {
   return base->Sync();
 }
 
+// --- positional reads (both modes) ----------------------------------------
+
+Status FaultEnv::ReadAt(const InodePtr& inode, const RandomAccessFile* base,
+                        const std::string& path, uint64_t offset, size_t n,
+                        char* scratch) {
+  IoFaultKind fault = IoFaultKind::kNone;
+  {
+    MutexLock lock(mu_);
+    const uint64_t idx = next_read_++;
+    auto it = read_script_.find(idx);
+    if (it != read_script_.end()) {
+      fault = it->second;
+      read_script_.erase(it);
+      ++stats_.injected;
+    }
+    if (fault == IoFaultKind::kEIO) {
+      ++stats_.eio;
+      return InjectedError(fault, path);
+    }
+    if (fault == IoFaultKind::kBitFlip) ++stats_.bit_flips;
+    if (inode != nullptr) {
+      // The live inode, not the durable prefix: like a real OS cache,
+      // bytes already appended are readable before they are synced.
+      const std::string& data = inode->data;
+      if (offset > data.size() || n > data.size() - offset) {
+        return Status::IOError("pread " + path + ": unexpected end of file");
+      }
+      std::copy_n(data.data() + offset, n, scratch);
+    }
+  }
+  if (inode == nullptr) {
+    Status s = base->Read(offset, n, scratch);
+    if (!s.ok()) return s;
+  }
+  if (fault == IoFaultKind::kBitFlip && n > 0) scratch[n / 2] ^= 0x01;
+  return Status::OK();
+}
+
 // --- Env surface ----------------------------------------------------------
 
 Status FaultEnv::NewWritableFile(const std::string& path, bool truncate,
@@ -355,6 +438,24 @@ Status FaultEnv::NewSequentialFile(const std::string& path,
   auto it = files_.find(path);
   if (it == files_.end()) return Status::IOError("cannot open " + path);
   *out = std::make_unique<MemSequentialFile>(it->second->data);
+  return Status::OK();
+}
+
+Status FaultEnv::NewRandomAccessFile(const std::string& path,
+                                     std::unique_ptr<RandomAccessFile>* out) {
+  if (mode_ == Mode::kPassthrough) {
+    std::unique_ptr<RandomAccessFile> base_file;
+    Status s = base_->NewRandomAccessFile(path, &base_file);
+    if (!s.ok()) return s;
+    *out = std::make_unique<FaultRandomAccessFile>(this, path, nullptr,
+                                                   std::move(base_file));
+    return Status::OK();
+  }
+  MutexLock lock(mu_);
+  auto it = files_.find(path);
+  if (it == files_.end()) return Status::IOError("cannot open " + path);
+  *out = std::make_unique<FaultRandomAccessFile>(this, path, it->second,
+                                                 nullptr);
   return Status::OK();
 }
 

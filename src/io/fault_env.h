@@ -6,8 +6,10 @@
 // NewWritableFile) consumes one op index; a fault can be scripted at an
 // exact index (ScriptAt) or drawn from a seeded distribution per op, so
 // every failure site in the store's write path is reachable
-// deterministically. Reads never consume indices — crash points stay
-// stable across verification re-reads.
+// deterministically. Reads never consume those indices — crash points
+// stay stable across verification re-reads. Positional reads
+// (NewRandomAccessFile) count on a separate read index instead, where a
+// test can script an EIO or a silent bit flip (ScriptReadAt).
 //
 // Two modes:
 //
@@ -69,6 +71,9 @@ enum class IoFaultKind : uint8_t {
   kSyncFail,
   /// Power cut: this op and every later mutating op fail until Reboot().
   kPowerCut,
+  /// Positional reads only: the read succeeds but one bit of the returned
+  /// bytes is flipped (silent media corruption).
+  kBitFlip,
 };
 
 const char* IoFaultKindName(IoFaultKind k);
@@ -120,6 +125,13 @@ class FaultEnv : public Env {
   /// Pins \p action at the next op index not yet consumed.
   void ScriptNext(IoFaultAction action) EXCLUDES(mu_);
 
+  /// Pins a read fault at positional-read \p index (0-based, counted
+  /// over every RandomAccessFile this env opened): kEIO fails the read
+  /// with IOError, kBitFlip returns the bytes with one bit flipped.
+  void ScriptReadAt(uint64_t index, IoFaultKind kind) EXCLUDES(mu_);
+  /// Pins \p kind at the next positional read.
+  void ScriptNextRead(IoFaultKind kind) EXCLUDES(mu_);
+
   /// Every mutating op with index >= \p index fails as a power cut
   /// (buffered mode; cleared by Reboot). The crash-sweep knob.
   void set_crash_at_op(uint64_t index) EXCLUDES(mu_);
@@ -159,9 +171,12 @@ class FaultEnv : public Env {
     uint64_t enospc = 0;
     uint64_t sync_failures = 0;
     uint64_t power_cut_failures = 0;
+    uint64_t bit_flips = 0;  ///< positional reads returned with a flipped bit
   };
   Stats stats() const EXCLUDES(mu_);
   uint64_t op_count() const EXCLUDES(mu_);
+  /// Positional reads observed so far (the next read's index).
+  uint64_t read_count() const EXCLUDES(mu_);
 
   /// Bytes of \p path covered by a completed Sync (buffered mode).
   Result<uint64_t> DurableSize(const std::string& path) EXCLUDES(mu_);
@@ -174,6 +189,12 @@ class FaultEnv : public Env {
   [[nodiscard]] Status NewSequentialFile(
       const std::string& path,
       std::unique_ptr<SequentialFile>* out) override EXCLUDES(mu_);
+  /// Buffered mode reads the live in-memory inode (what the OS cache
+  /// would serve); passthrough forwards to the base env. Both apply the
+  /// scripted read faults.
+  [[nodiscard]] Status NewRandomAccessFile(
+      const std::string& path,
+      std::unique_ptr<RandomAccessFile>* out) override EXCLUDES(mu_);
   bool FileExists(const std::string& path) override EXCLUDES(mu_);
   [[nodiscard]] Result<uint64_t> FileSize(const std::string& path) override
       EXCLUDES(mu_);
@@ -185,6 +206,7 @@ class FaultEnv : public Env {
 
  private:
   friend class FaultWritableFile;
+  friend class FaultRandomAccessFile;
 
   /// One in-memory file. `durable` is the prefix a completed Sync
   /// covers; `created_durable` says the directory entry itself survives
@@ -225,6 +247,11 @@ class FaultEnv : public Env {
       EXCLUDES(mu_);
   Status ForwardSync(WritableFile* base, const std::string& path)
       EXCLUDES(mu_);
+  // Positional read for both modes: from \p inode when set, else from
+  // \p base; consumes one read index.
+  Status ReadAt(const InodePtr& inode, const RandomAccessFile* base,
+                const std::string& path, uint64_t offset, size_t n,
+                char* scratch) EXCLUDES(mu_);
 
   Env* const base_;
   const Mode mode_;
@@ -234,6 +261,8 @@ class FaultEnv : public Env {
   IoFaultRandomConfig config_ GUARDED_BY(mu_);
   uint64_t next_index_ GUARDED_BY(mu_) = 0;
   std::map<uint64_t, IoFaultAction> script_ GUARDED_BY(mu_);
+  uint64_t next_read_ GUARDED_BY(mu_) = 0;
+  std::map<uint64_t, IoFaultKind> read_script_ GUARDED_BY(mu_);
   uint64_t crash_at_ GUARDED_BY(mu_) = UINT64_MAX;
   uint64_t enospc_after_ GUARDED_BY(mu_) = UINT64_MAX;
   bool drop_dir_syncs_ GUARDED_BY(mu_) = false;

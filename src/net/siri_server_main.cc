@@ -6,6 +6,7 @@
 // Quickstart:
 //   siri-server --port=4433 --data=/var/lib/siri   # durable, group-fsync on
 //   siri-server --port=4433                        # in-memory (testing)
+//   siri-server --port=4433 --data=DIR --page-cache-bytes=268435456
 //
 // Clients connect with net::SocketTransport and wrap it in a
 // ForkbaseClientStore; `fig06_ycsb_throughput --transport=socket` is the
@@ -14,6 +15,7 @@
 #include <signal.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -56,14 +58,19 @@ struct Flags {
   uint64_t mbt_buckets = 8192;  // must match committing clients
   int max_connections = 0;      // 0 = unlimited
   int idle_timeout_ms = 0;      // 0 = never reap idle connections
+  uint64_t page_cache_bytes = siri::FileNodeStore::kDefaultPageCacheBytes;
 };
+
+// An MBT's empty skeleton holds num_buckets digests at construction, so the
+// bucket count is capped to keep a typo from exhausting memory at start.
+constexpr uint64_t kMaxMbtBuckets = 1ull << 20;
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port=N] [--data=DIR] [--window-micros=N]\n"
                "          [--workers=N] [--mbt-buckets=N] "
                "[--max-connections=N]\n"
-               "          [--idle-timeout-ms=N]\n"
+               "          [--idle-timeout-ms=N] [--page-cache-bytes=N]\n"
                "  --port=N           TCP port on 127.0.0.1 (0 = ephemeral, "
                "printed at start)\n"
                "  --data=DIR         durable FileNodeStore + ref log under "
@@ -72,16 +79,21 @@ void Usage(const char* argv0) {
                "(default 200; 0 = off)\n"
                "  --workers=N        request worker threads (default 4)\n"
                "  --mbt-buckets=N    MBT bucket count; must match clients "
-               "(default 8192)\n"
+               "(default 8192, at most 1048576)\n"
                "  --max-connections=N  reject Hellos beyond N open "
                "connections (default 0 = unlimited)\n"
                "  --idle-timeout-ms=N  reap connections idle this long "
-               "(default 0 = never)\n",
+               "(default 0 = never)\n"
+               "  --page-cache-bytes=N  page cache of the --data store, in "
+               "bytes (default 67108864)\n",
                argv0);
   std::exit(2);
 }
 
+// Decimal digits only: strtoull alone would accept a sign or leading
+// space, and wrap "-1" to 2^64-1.
 bool ParseUint(const char* s, uint64_t* out) {
+  if (*s < '0' || *s > '9') return false;
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = strtoull(s, &end, 10);
@@ -106,7 +118,8 @@ Flags Parse(int argc, char** argv) {
       f.window_micros = n;
     } else if (key == "--workers" && ParseUint(val, &n) && n >= 1 && n <= 64) {
       f.workers = static_cast<int>(n);
-    } else if (key == "--mbt-buckets" && ParseUint(val, &n) && n >= 1) {
+    } else if (key == "--mbt-buckets" && ParseUint(val, &n) && n >= 1 &&
+               n <= kMaxMbtBuckets) {
       f.mbt_buckets = n;
     } else if (key == "--max-connections" && ParseUint(val, &n) &&
                n <= 1000000) {
@@ -114,6 +127,8 @@ Flags Parse(int argc, char** argv) {
     } else if (key == "--idle-timeout-ms" && ParseUint(val, &n) &&
                n <= INT32_MAX) {
       f.idle_timeout_ms = static_cast<int>(n);
+    } else if (key == "--page-cache-bytes" && ParseUint(val, &n)) {
+      f.page_cache_bytes = n;
     } else {
       std::fprintf(stderr, "siri-server: bad flag: %s\n", arg);
       Usage(argv[0]);
@@ -129,10 +144,11 @@ int main(int argc, char** argv) {
   const Flags flags = Parse(argc, argv);
 
   NodeStorePtr store;
+  std::shared_ptr<FileNodeStore> file_store;
   if (!flags.data.empty()) {
-    std::shared_ptr<FileNodeStore> file_store;
     const Status opened =
-        FileNodeStore::Open(flags.data + "/pages.log", &file_store);
+        FileNodeStore::Open(io::Env::Default(), flags.data + "/pages.log",
+                            &file_store, flags.page_cache_bytes);
     if (!opened.ok()) {
       std::fprintf(stderr, "siri-server: open %s: %s\n", flags.data.c_str(),
                    opened.ToString().c_str());
@@ -212,13 +228,23 @@ int main(int argc, char** argv) {
   const auto st = server.stats();
   std::printf("siri-server: stopped. connections=%llu requests=%llu "
               "frame_errors=%llu overload_rejects=%llu idle_reaped=%llu "
-              "degraded_rejects=%llu\n",
+              "degraded_rejects=%llu",
               static_cast<unsigned long long>(st.connections),
               static_cast<unsigned long long>(st.requests),
               static_cast<unsigned long long>(st.frame_errors),
               static_cast<unsigned long long>(st.overload_rejects),
               static_cast<unsigned long long>(st.idle_reaped),
               static_cast<unsigned long long>(st.degraded_rejects));
+  if (file_store != nullptr) {
+    const auto cache = file_store->page_cache_stats();
+    std::printf(" page_cache_hits=%llu page_cache_misses=%llu "
+                "page_cache_evictions=%llu page_cache_resident_bytes=%llu",
+                static_cast<unsigned long long>(cache.hits),
+                static_cast<unsigned long long>(cache.misses),
+                static_cast<unsigned long long>(cache.evictions),
+                static_cast<unsigned long long>(cache.resident_bytes));
+  }
+  std::printf("\n");
   if (st.degraded) {
     // An operator reading the shutdown log must learn the server spent
     // its final stretch read-only, and why.

@@ -28,8 +28,12 @@ constexpr size_t kLogMagicSize = 8;
 }  // namespace
 
 FileNodeStore::FileNodeStore(io::Env* env, std::string path,
-                             std::unique_ptr<io::WritableFile> file)
-    : env_(env), path_(std::move(path)), file_(std::move(file)) {}
+                             std::unique_ptr<io::WritableFile> file,
+                             uint64_t page_cache_bytes)
+    : env_(env),
+      path_(std::move(path)),
+      file_(std::move(file)),
+      cache_(page_cache_bytes) {}
 
 FileNodeStore::~FileNodeStore() = default;
 
@@ -64,22 +68,72 @@ Status FileNodeStore::Open(const std::string& path,
 }
 
 Status FileNodeStore::Open(io::Env* env, const std::string& path,
-                           std::shared_ptr<FileNodeStore>* out) {
+                           std::shared_ptr<FileNodeStore>* out,
+                           uint64_t page_cache_bytes) {
   std::unique_ptr<io::WritableFile> f;
   Status s = env->NewWritableFile(path, /*truncate=*/false, &f);
   if (!s.ok()) return s;
   std::shared_ptr<FileNodeStore> store(
-      new FileNodeStore(env, path, std::move(f)));
+      new FileNodeStore(env, path, std::move(f), page_cache_bytes));
   s = store->Replay();
+  if (!s.ok()) return s;
+  // Opened only now: recovery may have replaced the file at `path`.
+  s = env->NewRandomAccessFile(path, &store->reader_);
   if (!s.ok()) return s;
   *out = std::move(store);
   return Status::OK();
 }
 
+// --- the digest index -------------------------------------------------------
+
+uint32_t FileNodeStore::PageTable::TagOf(const Hash& h) {
+  // The shard was picked from the digest's first bytes; tag with others.
+  uint32_t tag;
+  std::memcpy(&tag, h.data() + 8, sizeof(tag));
+  return tag;
+}
+
+const FileNodeStore::PageLoc* FileNodeStore::PageTable::Find(
+    const Hash& h) const {
+  if (slots_.empty()) return nullptr;
+  const uint32_t tag = TagOf(h);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = tag & mask;; i = (i + 1) & mask) {
+    const uint64_t slot = slots_[i];
+    if (slot == 0) return nullptr;
+    if (static_cast<uint32_t>(slot >> 32) == tag) {
+      const PageLoc& loc = locs_[static_cast<uint32_t>(slot) - 1];
+      if (loc.digest == h) return &loc;
+    }
+  }
+}
+
+void FileNodeStore::PageTable::Insert(const PageLoc& loc) {
+  SIRI_CHECK(locs_.size() < UINT32_MAX);
+  // Grow at 3/4 load, doubling, so probes stay short. A slot's tag is
+  // enough to re-place it: growing never touches the PageLocs.
+  if ((locs_.size() + 1) * 4 > slots_.size() * 3) {
+    std::vector<uint64_t> old(slots_.empty() ? 64 : slots_.size() * 2);
+    old.swap(slots_);
+    for (const uint64_t slot : old) {
+      if (slot != 0) Place(slot);
+    }
+  }
+  locs_.push_back(loc);
+  Place(uint64_t{TagOf(loc.digest)} << 32 | locs_.size());
+}
+
+void FileNodeStore::PageTable::Place(uint64_t slot) {
+  const size_t mask = slots_.size() - 1;
+  size_t i = static_cast<size_t>(slot >> 32) & mask;
+  while (slots_[i] != 0) i = (i + 1) & mask;
+  slots_[i] = slot;
+}
+
 Status FileNodeStore::Replay() {
-  // Replay runs once from Open(), before the store is shared — the lock
-  // is uncontended and exists to satisfy the guarded-field contracts
-  // (file_, nodes_, stats_, the generation counters).
+  // Replay runs once from Open(), before the store is shared — the locks
+  // are uncontended and exist to satisfy the guarded-field contracts
+  // (file_, the index, stats_, the generation counters).
   MutexLock lock(mu_);
   std::string contents;
   Status read = env_->ReadFileToString(path_, &contents);
@@ -92,6 +146,7 @@ Status FileNodeStore::Replay() {
     if (s.ok()) s = file_->Flush();
     if (!s.ok()) return s;
     ++append_gen_;  // header not yet fsynced; first Flush pushes it down
+    log_end_ = kLogMagicSize;
     return Status::OK();
   }
   if (in.size() < kLogMagicSize &&
@@ -101,6 +156,7 @@ Status FileNodeStore::Replay() {
     // foreign sub-8-byte file that happens to be a strict prefix of the
     // magic is overwritten too — accepted: anything at this path that
     // short is ours.)
+    log_end_ = kLogMagicSize;
     return RewriteLog(kLogMagic, kLogMagicSize);
   }
   if (in.size() < kLogMagicSize ||
@@ -117,7 +173,7 @@ Status FileNodeStore::Replay() {
   // verify-as-you-parse walk: everything from the first bad record on is
   // dropped.
   struct Framed {
-    std::string page;
+    Slice page;  // points into `contents`
     Hash stored;
     const char* start;  // where this record begins inside `contents`
   };
@@ -133,12 +189,12 @@ Status FileNodeStore::Replay() {
       torn_tail = true;
       break;
     }
-    records.push_back(std::move(rec));
+    records.push_back(rec);
   }
 
   std::vector<Slice> pages;
   pages.reserve(records.size());
-  for (const Framed& rec : records) pages.emplace_back(rec.page);
+  for (const Framed& rec : records) pages.push_back(rec.page);
   const std::vector<Hash> digests = Sha256Pool::Shared().DigestAllSlices(pages);
 
   size_t first_bad = records.size();
@@ -149,15 +205,19 @@ Status FileNodeStore::Replay() {
     }
   }
 
+  // Index the valid prefix by position; the page bytes stay in the log.
   for (size_t i = 0; i < first_bad; ++i) {
-    auto [it, inserted] = nodes_.emplace(
-        records[i].stored,
-        std::make_shared<const std::string>(std::move(records[i].page)));
-    if (inserted) {
-      ++stats_.unique_nodes;
-      stats_.unique_bytes += it->second->size();
-    }
+    const Framed& rec = records[i];
+    IndexShard& shard = ShardFor(rec.stored);
+    WriterLock index_lock(shard.mu);
+    if (shard.table.Find(rec.stored) != nullptr) continue;  // logged twice
+    shard.table.Insert(PageLoc{
+        rec.stored, static_cast<uint64_t>(rec.page.data() - contents.data()),
+        rec.page.size()});
+    ++stats_.unique_nodes;
+    stats_.unique_bytes += rec.page.size();
   }
+  log_end_ = contents.size();
 
   if (first_bad < records.size() || torn_tail) {
     // Complete records past the first corruption, the corrupt record
@@ -170,13 +230,9 @@ Status FileNodeStore::Replay() {
     const size_t valid_bytes = static_cast<size_t>(valid_end - contents.data());
     Status s = RewriteLog(contents.data(), valid_bytes);
     if (!s.ok()) return s;
+    log_end_ = valid_bytes;
   }
   return Status::OK();
-}
-
-void FileNodeStore::AppendRecord(std::string* out, const Hash& h,
-                                 Slice bytes) {
-  AppendDigestRecord(out, h, bytes);
 }
 
 void FileNodeStore::RememberRecentLocked(const Hash& h) {
@@ -199,114 +255,124 @@ void FileNodeStore::LatchLocked(const Status& s) {
 }
 
 Hash FileNodeStore::Put(Slice bytes) {
-  const Hash h = Sha256::Digest(bytes);
-  MutexLock lock(mu_);
-  ++stats_.puts;
-  stats_.put_bytes += bytes.size();
-  if (nodes_.count(h) > 0) {
-    // The ring is consulted only on the dup path: it adds no lookup to
-    // fresh appends and exists to *attribute* the dup — a ring hit means
-    // a concurrent committer landed this page within the last
-    // kRecentRingSize appends.
-    if (recent_set_.count(h) > 0) ++dedup_skips_;
-    ++stats_.dup_puts;
-    return h;
-  }
-  if (!io_error_.ok()) {
+  NodeBatch one(1);
+  one[0].hash = Sha256::Digest(bytes);
+  one[0].bytes = std::make_shared<const std::string>(bytes.ToString());
+  PutMany(one);
+  return one[0].hash;
+}
+
+void FileNodeStore::PutMany(const NodeBatch& batch) {
+  std::vector<const NodeRecord*> fresh;
+  {
+    MutexLock lock(mu_);
+    // Records of nodes already indexed are skipped (content-addressed
+    // dedup); pages a concurrent committer landed within the last
+    // kRecentRingSize appends are caught by the recent-digest ring and
+    // surfaced as dedup_skips. The ring is consulted on the dup path
+    // only, so it adds no lookup to fresh appends. An intra-batch dup
+    // counts as recent by definition.
+    std::unordered_set<Hash, HashHasher> staged;
+    for (const NodeRecord& rec : batch) {
+      ++stats_.puts;
+      stats_.put_bytes += rec.bytes->size();
+      const bool in_batch = staged.count(rec.hash) > 0;
+      if (in_batch || Contains(rec.hash)) {
+        if (in_batch || recent_set_.count(rec.hash) > 0) ++dedup_skips_;
+        ++stats_.dup_puts;
+        continue;
+      }
+      staged.insert(rec.hash);
+      fresh.push_back(&rec);
+    }
     // Sticky failure: nothing new becomes visible after a failed or torn
     // append — a record appended now would land after the tear and bury
     // it mid-file, beyond what replay's truncation can recover. Callers
     // learn at Flush() (the commit is not acked).
-    return h;
-  }
-  std::string record;
-  AppendRecord(&record, h, bytes);
-  Status s = file_->Append(record);
-  if (!s.ok()) {
-    LatchLocked(s);
-    return h;
-  }
-  ++append_gen_;
-  nodes_.emplace(h, std::make_shared<const std::string>(bytes.ToString()));
-  RememberRecentLocked(h);
-  ++stats_.unique_nodes;
-  stats_.unique_bytes += bytes.size();
-  return h;
-}
+    if (fresh.empty() || !io_error_.ok()) return;
 
-void FileNodeStore::PutMany(const NodeBatch& batch) {
-  MutexLock lock(mu_);
-  if (!io_error_.ok()) {
-    // Fail fast (see Put): the batch is neither appended nor indexed.
-    for (const NodeRecord& rec : batch) {
-      ++stats_.puts;
-      stats_.put_bytes += rec.bytes->size();
+    // One serialized run of records per batch: the whole dirty path of a
+    // commit goes to the log in a single append.
+    std::string records;
+    std::vector<uint64_t> offsets;
+    offsets.reserve(fresh.size());
+    for (const NodeRecord* rec : fresh) {
+      AppendDigestRecord(&records, rec->hash, Slice(*rec->bytes));
+      offsets.push_back(log_end_ + records.size() - rec->bytes->size());
     }
-    return;
-  }
-  // One serialized run of records per batch: the whole dirty path of a
-  // commit goes to the log in a single append. Records of nodes already
-  // resident are skipped (content-addressed dedup), exactly as per-node
-  // Put would have done; pages a concurrent committer landed within the
-  // last kRecentRingSize appends are caught by the recent-digest ring
-  // first and surfaced as dedup_skips. Nothing is indexed until the
-  // append has succeeded — a failed batch must leave no in-memory state
-  // a later commit could dedup against without durable backing.
-  std::string records;
-  std::vector<const NodeRecord*> fresh;
-  std::unordered_set<Hash, HashHasher> staged;
-  for (const NodeRecord& rec : batch) {
-    ++stats_.puts;
-    stats_.put_bytes += rec.bytes->size();
-    const bool resident = nodes_.count(rec.hash) > 0;
-    const bool in_batch = staged.count(rec.hash) > 0;
-    if (resident || in_batch) {
-      // Dup path only (see Put): a ring hit attributes the dup to a
-      // committer that landed the page within the last kRecentRingSize
-      // appends — the cross-commit dedup signal. An intra-batch dup
-      // counts as recent by definition.
-      if (in_batch || recent_set_.count(rec.hash) > 0) ++dedup_skips_;
-      ++stats_.dup_puts;
-      continue;
+    Status s = file_->Append(records);
+    if (!s.ok()) {
+      // Nothing is indexed: a failed batch must leave no state a later
+      // commit could dedup against without durable backing.
+      LatchLocked(s);
+      return;
     }
-    staged.insert(rec.hash);
-    AppendRecord(&records, rec.hash, Slice(*rec.bytes));
-    fresh.push_back(&rec);
+    ++append_gen_;
+    log_end_ += records.size();
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      const NodeRecord& rec = *fresh[i];
+      IndexShard& shard = ShardFor(rec.hash);
+      {
+        WriterLock index_lock(shard.mu);
+        shard.table.Insert(PageLoc{rec.hash, offsets[i], rec.bytes->size()});
+        shard.unsynced.emplace(rec.hash, rec.bytes);
+      }
+      RememberRecentLocked(rec.hash);
+      ++stats_.unique_nodes;
+      stats_.unique_bytes += rec.bytes->size();
+    }
   }
-  if (records.empty()) return;
-  Status s = file_->Append(records);
-  if (!s.ok()) {
-    LatchLocked(s);
-    return;
-  }
-  ++append_gen_;
-  for (const NodeRecord* rec : fresh) {
-    nodes_.emplace(rec->hash, rec->bytes);
-    RememberRecentLocked(rec->hash);
-    ++stats_.unique_nodes;
-    stats_.unique_bytes += rec->bytes->size();
-  }
+  // Write-allocate, outside mu_: readers of the new version and the next
+  // merge touch a commit's pages first, and a store that fits the cache
+  // never reads the log at all.
+  for (const NodeRecord* rec : fresh) cache_.Insert(rec->hash, rec->bytes);
 }
 
 Result<std::shared_ptr<const std::string>> FileNodeStore::Get(const Hash& h) {
-  MutexLock lock(mu_);
-  ++stats_.gets;
-  auto it = nodes_.find(h);
-  if (it == nodes_.end()) return Status::NotFound("node " + h.ToHex());
-  stats_.get_bytes += it->second->size();
-  return it->second;
+  gets_.fetch_add(1, std::memory_order_relaxed);
+  std::shared_ptr<const std::string> page = cache_.Lookup(h);
+  if (page == nullptr) {
+    PageLoc loc;
+    {
+      const IndexShard& shard = ShardFor(h);
+      ReaderLock index_lock(shard.mu);
+      const PageLoc* found = shard.table.Find(h);
+      if (found == nullptr) return Status::NotFound("node " + h.ToHex());
+      loc = *found;
+      auto it = shard.unsynced.find(h);
+      if (it != shard.unsynced.end()) page = it->second;
+    }
+    if (page == nullptr) {
+      // Synced, so the bytes are in the file; read and re-digest them
+      // with no lock held.
+      auto bytes = std::make_shared<std::string>(loc.size, '\0');
+      Status s = reader_->Read(loc.offset, loc.size, bytes->data());
+      if (!s.ok()) return s;
+      if (Sha256::Digest(*bytes) != h) {
+        return Status::Corruption("page " + h.ToHex() + " at offset " +
+                                  std::to_string(loc.offset) + " of " +
+                                  path_ + " fails its digest check");
+      }
+      page = std::move(bytes);
+      cache_.Insert(h, page);
+    }
+  }
+  get_bytes_.fetch_add(page->size(), std::memory_order_relaxed);
+  return page;
 }
 
 bool FileNodeStore::Contains(const Hash& h) const {
-  MutexLock lock(mu_);
-  return nodes_.count(h) > 0;
+  const IndexShard& shard = ShardFor(h);
+  ReaderLock index_lock(shard.mu);
+  return shard.table.Find(h) != nullptr;
 }
 
 Result<uint64_t> FileNodeStore::SizeOf(const Hash& h) const {
-  MutexLock lock(mu_);
-  auto it = nodes_.find(h);
-  if (it == nodes_.end()) return Status::NotFound("node " + h.ToHex());
-  return static_cast<uint64_t>(it->second->size());
+  const IndexShard& shard = ShardFor(h);
+  ReaderLock index_lock(shard.mu);
+  const PageLoc* found = shard.table.Find(h);
+  if (found == nullptr) return Status::NotFound("node " + h.ToHex());
+  return found->size;
 }
 
 NodeStore::Stats FileNodeStore::stats() const {
@@ -317,13 +383,16 @@ NodeStore::Stats FileNodeStore::stats() const {
   // fsync_count() stays process-cumulative (crash-accounting tests
   // snapshot deltas of it).
   out.flushes = fsyncs_ - fsyncs_at_reset_;
+  out.gets = gets_.load(std::memory_order_relaxed);
+  out.get_bytes = get_bytes_.load(std::memory_order_relaxed);
   return out;
 }
 
 void FileNodeStore::ResetOpCounters() {
   MutexLock lock(mu_);
   stats_.puts = stats_.put_bytes = stats_.dup_puts = 0;
-  stats_.gets = stats_.get_bytes = 0;
+  gets_.store(0, std::memory_order_relaxed);
+  get_bytes_.store(0, std::memory_order_relaxed);
   fsyncs_at_reset_ = fsyncs_;
 }
 
@@ -337,7 +406,8 @@ void FileNodeStore::set_sticky_errors_for_testing(bool on) {
   latch_errors_ = on;
 }
 
-Status FileNodeStore::SyncLocked(MutexLock& lock) {
+Status FileNodeStore::SyncLocked(MutexLock& lock,
+                                 std::vector<PageMap>* released) {
   // The syscalls run with mu_ held: appends share the write handle, so a
   // concurrent append during the flush would corrupt the stream.
   // Concurrent *flushers* do not queue on the mutex, though — they wait
@@ -357,10 +427,21 @@ Status FileNodeStore::SyncLocked(MutexLock& lock) {
   }
   ++fsyncs_;
   synced_gen_ = covering;
+  // Every page appended so far is in the file now, where positional reads
+  // see it: the in-memory copies go.
+  released->resize(kIndexShards);
+  for (size_t i = 0; i < kIndexShards; ++i) {
+    IndexShard& shard = shards_[i];
+    WriterLock index_lock(shard.mu);
+    (*released)[i].swap(shard.unsynced);
+  }
   return Status::OK();
 }
 
 Status FileNodeStore::Flush() {
+  // Declared before the lock, so the pages an fsync releases are freed
+  // after mu_ is dropped: appenders do not wait on the deallocation.
+  std::vector<PageMap> released;
   MutexLock lock(mu_);
   // A latched store fails every Flush — even one whose appends all
   // predate the failure: the failed fsync may have discarded exactly
@@ -400,7 +481,7 @@ Status FileNodeStore::Flush() {
     std::this_thread::sleep_for(std::chrono::microseconds(window));
     lock.Lock();
   }
-  Status s = SyncLocked(lock);
+  Status s = SyncLocked(lock, &released);
   sync_in_progress_ = false;
   sync_cv_.notify_all();
   return s;

@@ -12,9 +12,10 @@
 //
 // Concurrency: one servlet serves K ForkbaseClientStore clients from K
 // threads, and a single client may itself be shared by multiple reader
-// threads. NodeCache is a sharded LRU (shards keyed by digest prefix,
-// one mutex per shard) so concurrent lookups on different shards never
-// contend; RemoteStats accounting is lock-free (relaxed atomics).
+// threads. NodeCache (store/node_cache.h) is a sharded LRU (shards keyed
+// by digest prefix, one mutex per shard) so concurrent lookups on
+// different shards never contend; RemoteStats accounting is lock-free
+// (relaxed atomics).
 // Concurrent misses on the same digest are coalesced (singleflight): one
 // thread pays the round trip, the others wait for its result, so a shared
 // hot set never fetches the same node twice at the same time.
@@ -38,7 +39,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <string>
@@ -49,62 +49,12 @@
 
 #include "index/index.h"
 #include "net/transport.h"
+#include "store/node_cache.h"
 #include "store/node_store.h"
 #include "version/commit.h"
 #include "version/group_commit.h"
 
 namespace siri {
-
-/// \brief Thread-safe LRU cache of nodes, keyed by digest (a client's
-/// local node cache).
-///
-/// Internally sharded: a node lives in the shard selected by its digest
-/// prefix, and each shard is an independently-locked LRU with capacity
-/// `capacity_bytes / num_shards`. Eviction is therefore per-shard LRU, a
-/// close approximation of global LRU for SHA-256-distributed keys. Tests
-/// that assert exact global LRU order pass `num_shards = 1`.
-class NodeCache {
- public:
-  static constexpr int kDefaultShards = 16;
-
-  explicit NodeCache(uint64_t capacity_bytes, int num_shards = kDefaultShards);
-
-  /// Returns the cached bytes and refreshes recency, or nullptr on miss.
-  std::shared_ptr<const std::string> Lookup(const Hash& h);
-
-  /// Inserts the node, evicting per-shard LRU victims while over capacity.
-  /// A digest already present is touched to the front instead (same bytes:
-  /// the store is content-addressed) so a re-inserted entry is hot again.
-  void Insert(const Hash& h, std::shared_ptr<const std::string> bytes);
-
-  void Clear();
-
-  uint64_t size_bytes() const;
-  uint64_t capacity_bytes() const { return capacity_bytes_; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
- private:
-  struct Entry {
-    Hash hash;
-    std::shared_ptr<const std::string> bytes;
-  };
-
-  struct Shard {
-    mutable Mutex mu;
-    uint64_t capacity = 0;  // set once at construction, immutable after
-    uint64_t size GUARDED_BY(mu) = 0;
-    std::list<Entry> lru GUARDED_BY(mu);  // front = most recent
-    std::unordered_map<Hash, std::list<Entry>::iterator, HashHasher> map
-        GUARDED_BY(mu);
-  };
-
-  Shard& ShardFor(const Hash& h) {
-    return shards_[h.Prefix64() % shards_.size()];
-  }
-
-  uint64_t capacity_bytes_;
-  std::vector<Shard> shards_;
-};
 
 /// \brief The server side: owns the authoritative store and the branch
 /// table. Safe to share across client threads as long as the underlying

@@ -26,6 +26,10 @@
 // FAILS: the missing-parent-dir-fsync hole (set_drop_dir_syncs) and the
 // fsyncgate forget-the-error hole (set_sticky_errors_for_testing(false)).
 //
+// The page store reads through the same simulator: a sweep reopens with a
+// zero-byte page cache so every post-reboot read is a FaultEnv positional
+// read, and ReadFaultTest injects read EIO and bit flips.
+//
 // The tail of the file leaves the simulator: a real SiriServer over a
 // FaultEnv-backed store, a real SocketTransport client, and an injected
 // disk fault — asserting the typed read-only degradation contract
@@ -170,10 +174,11 @@ WorkloadLog RunCommitWorkload(FaultEnv* env, bool fsync_each, int commits,
 /// match the workload's ref-log mode: with per-swing fsyncs the head may
 /// not roll back past the last acked commit; without them losing head
 /// *position* is allowed (the pages never are).
-::testing::AssertionResult VerifyRecovery(FaultEnv* env, bool fsync_each,
-                                          const WorkloadLog& log) {
+::testing::AssertionResult VerifyRecovery(
+    FaultEnv* env, bool fsync_each, const WorkloadLog& log,
+    uint64_t page_cache_bytes = FileNodeStore::kDefaultPageCacheBytes) {
   std::shared_ptr<FileNodeStore> store;
-  Status s = FileNodeStore::Open(env, kPagesPath, &store);
+  Status s = FileNodeStore::Open(env, kPagesPath, &store, page_cache_bytes);
   if (!s.ok()) {
     return ::testing::AssertionFailure()
            << "page log failed to reopen: " << s.ToString();
@@ -315,6 +320,49 @@ TEST(CrashSweepTest, EveryCrashPointRecoversConsistently) {
   // The acceptance floor: a real sweep, not a token one.
   EXPECT_GE(points, 50);
   EXPECT_GT(interrupted_runs, 0);
+}
+
+TEST(CrashSweepTest, ZeroByteCacheReopenReadsEveryPageThroughEnv) {
+  // The same sweep, verified by a store that caches nothing: every page
+  // and commit object the verifier checks is a positional read of the
+  // recovered log through FaultEnv's random-access path.
+  const int commits = SweepCommits();
+  int points = 0;
+  for (const bool fsync_each : {true, false}) {
+    uint64_t total_ops = 0;
+    {
+      FaultEnv clean(io::Env::Default(), FaultEnv::Mode::kBuffered);
+      WorkloadLog log =
+          RunCommitWorkload(&clean, fsync_each, commits, "clean");
+      ASSERT_EQ(log.acked.size(), static_cast<size_t>(commits))
+          << log.stopped.ToString();
+      total_ops = clean.op_count();
+    }
+    for (const auto fate : {CrashSpec::UnsyncedFate::kDrop,
+                            CrashSpec::UnsyncedFate::kKeepPrefix}) {
+      for (uint64_t k = 0; k <= total_ops; ++k) {
+        SCOPED_TRACE("fsync_each=" + std::to_string(fsync_each) +
+                     " fate=" + std::to_string(static_cast<int>(fate)) +
+                     " crash_at=" + std::to_string(k));
+        FaultEnv env(io::Env::Default(), FaultEnv::Mode::kBuffered);
+        env.set_crash_at_op(k);
+        WorkloadLog log = RunCommitWorkload(&env, fsync_each, commits, "tiny");
+        CrashSpec spec;
+        spec.fate = fate;
+        spec.seed = k + 7;
+        env.Reboot(spec);
+        const uint64_t reads_before = env.read_count();
+        EXPECT_TRUE(VerifyRecovery(&env, fsync_each, log,
+                                   /*page_cache_bytes=*/0));
+        if (!log.acked.empty()) {
+          // 3 pages + the commit object per acked commit, all from the log.
+          EXPECT_GE(env.read_count() - reads_before, 4 * log.acked.size());
+        }
+        ++points;
+      }
+    }
+  }
+  EXPECT_GE(points, 50);
 }
 
 // --- simultaneous torn tails (both logs at once) ------------------------
@@ -628,6 +676,66 @@ TEST(StickyErrorTest, FailedFsyncNeverRetroactivelyClaimsDurability) {
     EXPECT_FALSE(reopened->Contains(p.hash))
         << "unacked bytes resurrected as durable";
   }
+}
+
+// --- read faults: typed, never latched, never cached -----------------------
+
+TEST(ReadFaultTest, ReadEioIsTypedAndDoesNotLatchTheWritePath) {
+  FaultEnv env(io::Env::Default(), FaultEnv::Mode::kBuffered);
+  std::shared_ptr<FileNodeStore> store;
+  ASSERT_TRUE(FileNodeStore::Open(&env, kPagesPath, &store, 0).ok());
+  const NodeBatch batch = MakePages(0, "eio");
+  store->PutMany(batch);
+  ASSERT_TRUE(store->Flush().ok());
+
+  env.ScriptNextRead(IoFaultKind::kEIO);
+  auto failed = store->Get(batch[0].hash);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+  EXPECT_EQ(env.stats().eio, 1u);
+  // A failed read says nothing about what was written: no latch.
+  EXPECT_TRUE(store->DiskStatus().ok());
+  const NodeBatch next = MakePages(1, "eio");
+  store->PutMany(next);
+  EXPECT_TRUE(store->Flush().ok());
+
+  auto again = store->Get(batch[0].hash);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(**again, *batch[0].bytes);
+}
+
+TEST(ReadFaultTest, BitFlipIsCorruptionAndNeverCached) {
+  FaultEnv env(io::Env::Default(), FaultEnv::Mode::kBuffered);
+  const NodeBatch batch = MakePages(0, "flip");
+  {
+    std::shared_ptr<FileNodeStore> store;
+    ASSERT_TRUE(FileNodeStore::Open(&env, kPagesPath, &store).ok());
+    store->PutMany(batch);
+    ASSERT_TRUE(store->Flush().ok());
+  }
+  // Reopened: the cache is cold, so the first read goes to the log.
+  std::shared_ptr<FileNodeStore> store;
+  ASSERT_TRUE(FileNodeStore::Open(&env, kPagesPath, &store).ok());
+  env.ScriptNextRead(IoFaultKind::kBitFlip);
+  auto flipped = store->Get(batch[0].hash);
+  ASSERT_FALSE(flipped.ok());
+  EXPECT_TRUE(flipped.status().IsCorruption()) << flipped.status().ToString();
+  EXPECT_EQ(env.stats().bit_flips, 1u);
+  EXPECT_EQ(store->page_cache_stats().resident_bytes, 0u);
+  EXPECT_TRUE(store->DiskStatus().ok());
+  EXPECT_TRUE(store->Contains(batch[0].hash));
+
+  // The corrupt bytes were not cached: the next read goes back to the
+  // log, gets clean bytes, and only those are cached.
+  const uint64_t reads = env.read_count();
+  auto clean = store->Get(batch[0].hash);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_EQ(**clean, *batch[0].bytes);
+  EXPECT_EQ(env.read_count(), reads + 1);
+  auto cached = store->Get(batch[0].hash);
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(**cached, *batch[0].bytes);
+  EXPECT_EQ(env.read_count(), reads + 1);  // a cache hit: no read
 }
 
 // --- server degradation over the real socket path -----------------------

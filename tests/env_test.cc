@@ -6,7 +6,8 @@
 // every crash-consistency result above it vacuous, so each guarantee the
 // harness leans on (sync-covered prefixes, pending-rename rollback,
 // created-never-synced files vanishing, fsync failure dropping dirty
-// bytes) gets its own direct assertion here.
+// bytes) gets its own direct assertion here, as does the positional read
+// path the page store's cache misses take (and its scripted read faults).
 
 #include <gtest/gtest.h>
 
@@ -352,6 +353,146 @@ TEST(FaultEnvTest, PassthroughModeInjectsOverARealFile) {
   std::string back;
   ASSERT_TRUE(Env::Default()->ReadFileToString(path, &back).ok());
   EXPECT_EQ(back, "real-bytes");  // the injected op forwarded nothing
+  ASSERT_TRUE(Env::Default()->DeleteFile(path).ok());
+}
+
+// --- positional reads -----------------------------------------------------
+
+std::string ReadAt(const RandomAccessFile& f, uint64_t offset, size_t n,
+                   Status* status) {
+  std::string out(n, '\0');
+  *status = f.Read(offset, n, out.data());
+  return out;
+}
+
+TEST(PosixEnvTest, RandomAccessReadsAtOffsetsAndTypesShortReads) {
+  Env* env = Env::Default();
+  const std::string path = TempPath("random_access");
+  ASSERT_TRUE(WriteAll(env, path, "0123456789", /*sync=*/true).ok());
+  std::unique_ptr<RandomAccessFile> f;
+  ASSERT_TRUE(env->NewRandomAccessFile(path, &f).ok());
+  Status s;
+  EXPECT_EQ(ReadAt(*f, 3, 4, &s), "3456");
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(ReadAt(*f, 0, 10, &s), "0123456789");
+  EXPECT_TRUE(s.ok());
+  ReadAt(*f, 8, 5, &s);  // runs past the end of the file
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  std::unique_ptr<RandomAccessFile> missing;
+  EXPECT_TRUE(env->NewRandomAccessFile(TempPath("absent"), &missing)
+                  .IsIOError());
+  ASSERT_TRUE(env->DeleteFile(path).ok());
+}
+
+// An Env that decorates only the write path (forwarding the pure
+// virtuals) still reads: NewRandomAccessFile defaults to POSIX.
+class WritePathOnlyEnv : public Env {
+ public:
+  Status NewWritableFile(const std::string& path, bool truncate,
+                         std::unique_ptr<WritableFile>* out) override {
+    return Default()->NewWritableFile(path, truncate, out);
+  }
+  Status NewSequentialFile(const std::string& path,
+                           std::unique_ptr<SequentialFile>* out) override {
+    return Default()->NewSequentialFile(path, out);
+  }
+  bool FileExists(const std::string& path) override {
+    return Default()->FileExists(path);
+  }
+  Result<uint64_t> FileSize(const std::string& path) override {
+    return Default()->FileSize(path);
+  }
+  Status DeleteFile(const std::string& path) override {
+    return Default()->DeleteFile(path);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return Default()->Rename(from, to);
+  }
+  Status SyncDir(const std::string& path) override {
+    return Default()->SyncDir(path);
+  }
+};
+
+TEST(PosixEnvTest, DecoratorInheritsPosixRandomAccess) {
+  WritePathOnlyEnv env;
+  const std::string path = TempPath("decorated");
+  ASSERT_TRUE(WriteAll(&env, path, "decorated bytes", /*sync=*/true).ok());
+  std::unique_ptr<RandomAccessFile> f;
+  ASSERT_TRUE(env.NewRandomAccessFile(path, &f).ok());
+  Status s;
+  EXPECT_EQ(ReadAt(*f, 10, 5, &s), "bytes");
+  EXPECT_TRUE(s.ok());
+  ASSERT_TRUE(env.DeleteFile(path).ok());
+}
+
+TEST(FaultEnvTest, RandomAccessReadsLiveInodeWithoutConsumingOpIndices) {
+  FaultEnv env(Env::Default(), FaultEnv::Mode::kBuffered);
+  std::unique_ptr<WritableFile> w;
+  ASSERT_TRUE(env.NewWritableFile("f", false, &w).ok());
+  ASSERT_TRUE(w->Append("unsynced").ok());
+  std::unique_ptr<RandomAccessFile> f;
+  ASSERT_TRUE(env.NewRandomAccessFile("f", &f).ok());
+  const uint64_t ops = env.op_count();
+  Status s;
+  // Appended bytes sit in the model's "OS cache": readable before a Sync.
+  EXPECT_EQ(ReadAt(*f, 2, 4, &s), "sync");
+  EXPECT_TRUE(s.ok());
+  ASSERT_TRUE(w->Append("+more").ok());
+  EXPECT_EQ(ReadAt(*f, 8, 5, &s), "+more");  // the live inode, not a snapshot
+  EXPECT_TRUE(s.ok());
+  ReadAt(*f, 10, 10, &s);
+  EXPECT_TRUE(s.IsIOError());
+  EXPECT_EQ(env.op_count(), ops + 1);  // only the second Append
+  EXPECT_EQ(env.read_count(), 3u);
+  std::unique_ptr<RandomAccessFile> missing;
+  EXPECT_TRUE(env.NewRandomAccessFile("absent", &missing).IsIOError());
+}
+
+TEST(FaultEnvTest, ScriptedReadFaultsHitExactReads) {
+  FaultEnv env(Env::Default(), FaultEnv::Mode::kBuffered);
+  std::unique_ptr<WritableFile> w;
+  ASSERT_TRUE(env.NewWritableFile("f", false, &w).ok());
+  ASSERT_TRUE(w->Append("abcdefgh").ok());
+  std::unique_ptr<RandomAccessFile> f;
+  ASSERT_TRUE(env.NewRandomAccessFile("f", &f).ok());
+  env.ScriptReadAt(1, IoFaultKind::kEIO);
+  env.ScriptReadAt(2, IoFaultKind::kBitFlip);
+  Status s;
+  EXPECT_EQ(ReadAt(*f, 0, 8, &s), "abcdefgh");  // read 0: clean
+  EXPECT_TRUE(s.ok());
+  ReadAt(*f, 0, 8, &s);  // read 1: EIO
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  const std::string flipped = ReadAt(*f, 0, 8, &s);  // read 2: bit flip
+  EXPECT_TRUE(s.ok());
+  ASSERT_EQ(flipped.size(), 8u);
+  int bits = 0;
+  for (size_t i = 0; i < flipped.size(); ++i) {
+    bits += __builtin_popcount(static_cast<unsigned char>(flipped[i] ^
+                                                          "abcdefgh"[i]));
+  }
+  EXPECT_EQ(bits, 1);
+  EXPECT_EQ(ReadAt(*f, 0, 8, &s), "abcdefgh");  // read 3: clean again
+  EXPECT_TRUE(s.ok());
+  const FaultEnv::Stats st = env.stats();
+  EXPECT_EQ(env.read_count(), 4u);
+  EXPECT_EQ(st.eio, 1u);
+  EXPECT_EQ(st.bit_flips, 1u);
+  EXPECT_EQ(st.injected, 2u);
+  EXPECT_EQ(st.ops, 2u);  // NewWritableFile + Append; reads are not ops
+}
+
+TEST(FaultEnvTest, PassthroughRandomAccessInjectsOverARealFile) {
+  const std::string path = TempPath("passthrough_read");
+  ASSERT_TRUE(WriteAll(Env::Default(), path, "real-bytes", true).ok());
+  FaultEnv env(Env::Default(), FaultEnv::Mode::kPassthrough);
+  std::unique_ptr<RandomAccessFile> f;
+  ASSERT_TRUE(env.NewRandomAccessFile(path, &f).ok());
+  env.ScriptNextRead(IoFaultKind::kEIO);
+  Status s;
+  ReadAt(*f, 0, 4, &s);
+  EXPECT_TRUE(s.IsIOError());
+  EXPECT_EQ(ReadAt(*f, 5, 5, &s), "bytes");
+  EXPECT_TRUE(s.ok());
   ASSERT_TRUE(Env::Default()->DeleteFile(path).ok());
 }
 

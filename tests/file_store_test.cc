@@ -1,7 +1,9 @@
 // Copyright (c) 2026 The siri Authors. MIT license.
 //
-// FileNodeStore: durability across reopen, crash-truncation recovery, and
-// full index operation over a disk-backed store.
+// FileNodeStore: durability across reopen, crash-truncation recovery,
+// full index operation over a disk-backed store, and the bounded page
+// cache (stores larger than the cache, unsynced pages, concurrent reads
+// racing appends, fsyncs and evictions).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +13,10 @@
 #include <atomic>
 #include <cstdio>
 #include <thread>
+#include <vector>
 
+#include "common/mutex.h"
+#include "common/random.h"
 #include "common/varint.h"
 #include "crypto/sha256.h"
 #include "index/pos/pos_tree.h"
@@ -651,6 +656,180 @@ TEST_F(FileStoreTest, FlushSkipsFsyncWhenNothingAppended) {
   store->PutMany(BatchOf(0, 8));
   ASSERT_TRUE(store->Flush().ok());
   EXPECT_EQ(store->fsync_count(), after_header + 1);
+}
+
+// --- bounded page cache ---------------------------------------------------
+
+NodeBatch SizedBatch(int first, int count, size_t size) {
+  NodeBatch batch;
+  for (int i = first; i < first + count; ++i) {
+    std::string bytes = "page-" + std::to_string(i) + "/";
+    bytes.resize(size, static_cast<char>('A' + i % 26));
+    NodeRecord rec;
+    rec.bytes = std::make_shared<const std::string>(std::move(bytes));
+    rec.hash = Sha256::Digest(*rec.bytes);
+    batch.push_back(std::move(rec));
+  }
+  return batch;
+}
+
+TEST_F(FileStoreTest, ContainsAndSizeOfAnswerForEvictedPages) {
+  constexpr uint64_t kCache = 2048;
+  const NodeBatch batch = SizedBatch(0, 200, 100);  // 20 KB: ~10x the cache
+  std::shared_ptr<FileNodeStore> store;
+  ASSERT_TRUE(
+      FileNodeStore::Open(io::Env::Default(), path_, &store, kCache).ok());
+  store->PutMany(batch);
+  ASSERT_TRUE(store->Flush().ok());
+  for (const NodeRecord& rec : batch) {
+    auto got = store->Get(rec.hash);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(**got, *rec.bytes);
+  }
+  const NodeCache::Stats cache = store->page_cache_stats();
+  EXPECT_GT(cache.misses, 150u);  // most pages came back from the log
+  EXPECT_GT(cache.evictions, 150u);
+  EXPECT_LE(cache.resident_bytes, kCache);
+  EXPECT_EQ(store->stats().gets, 200u);
+  EXPECT_EQ(store->stats().get_bytes, 200u * 100u);
+  for (const NodeRecord& rec : batch) {
+    EXPECT_TRUE(store->Contains(rec.hash));
+    auto size = store->SizeOf(rec.hash);
+    ASSERT_TRUE(size.ok());
+    EXPECT_EQ(*size, rec.bytes->size());
+  }
+  // The index answered without a read through the cache.
+  EXPECT_EQ(store->page_cache_stats().misses, cache.misses);
+  EXPECT_EQ(store->page_cache_stats().hits, cache.hits);
+  const Hash absent = Sha256::Digest("never stored");
+  EXPECT_FALSE(store->Contains(absent));
+  EXPECT_TRUE(store->SizeOf(absent).status().IsNotFound());
+  EXPECT_TRUE(store->Get(absent).status().IsNotFound());
+}
+
+TEST_F(FileStoreTest, ZeroCapacityCacheServesUnflushedPages) {
+  std::shared_ptr<FileNodeStore> store;
+  ASSERT_TRUE(FileNodeStore::Open(io::Env::Default(), path_, &store, 0).ok());
+  ASSERT_TRUE(store->Flush().ok());
+  // Small appends stay in the append handle's buffer, where a positional
+  // read cannot see them: only the unsynced pages can serve these.
+  const NodeBatch batch = SizedBatch(0, 16, 64);
+  store->PutMany(batch);
+  const Hash single = store->Put("a single unflushed page");
+  for (const NodeRecord& rec : batch) {
+    auto got = store->Get(rec.hash);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(**got, *rec.bytes);
+  }
+  auto got_single = store->Get(single);
+  ASSERT_TRUE(got_single.ok());
+  EXPECT_EQ(**got_single, "a single unflushed page");
+  EXPECT_EQ(store->page_cache_stats().resident_bytes, 0u);
+
+  // After the covering fsync the same pages are read from the log.
+  ASSERT_TRUE(store->Flush().ok());
+  const uint64_t misses = store->page_cache_stats().misses;
+  for (const NodeRecord& rec : batch) {
+    auto got = store->Get(rec.hash);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(**got, *rec.bytes);
+  }
+  EXPECT_EQ(store->page_cache_stats().misses, misses + batch.size());
+  EXPECT_EQ(store->page_cache_stats().resident_bytes, 0u);
+}
+
+TEST_F(FileStoreTest, PageCacheCountsHitsMissesAndEvictions) {
+  std::shared_ptr<FileNodeStore> store;
+  ASSERT_TRUE(FileNodeStore::Open(path_, &store).ok());
+  const NodeBatch batch = SizedBatch(0, 10, 200);
+  store->PutMany(batch);  // write-allocated: hot before any read
+  ASSERT_TRUE(store->Flush().ok());
+  for (const NodeRecord& rec : batch) ASSERT_TRUE(store->Get(rec.hash).ok());
+  NodeCache::Stats cache = store->page_cache_stats();
+  EXPECT_EQ(cache.hits, 10u);
+  EXPECT_EQ(cache.misses, 0u);
+  EXPECT_EQ(cache.evictions, 0u);
+  EXPECT_EQ(cache.resident_bytes, 2000u);
+  store.reset();
+
+  // A reopened store starts cold: the first read of a page misses (and
+  // caches it), the second hits.
+  ASSERT_TRUE(FileNodeStore::Open(path_, &store).ok());
+  for (int round = 0; round < 2; ++round) {
+    for (const NodeRecord& rec : batch) {
+      auto got = store->Get(rec.hash);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(**got, *rec.bytes);
+    }
+  }
+  cache = store->page_cache_stats();
+  EXPECT_EQ(cache.misses, 10u);
+  EXPECT_EQ(cache.hits, 10u);
+  EXPECT_EQ(cache.evictions, 0u);
+  EXPECT_EQ(cache.resident_bytes, 2000u);
+}
+
+TEST_F(FileStoreTest, ConcurrentGetPutManyFlushWithEvictions) {
+  // Writers append and fsync batches while readers fetch every published
+  // page, through a cache a fraction of the data's size: hits, misses,
+  // unsynced pages, evictions and the unsynced->log handoff all race.
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 3;
+  constexpr int kBatches = 30;
+  constexpr int kPerBatch = 12;
+  std::shared_ptr<FileNodeStore> store;
+  ASSERT_TRUE(
+      FileNodeStore::Open(io::Env::Default(), path_, &store, 4096).ok());
+
+  Mutex mu;
+  std::vector<NodeRecord> published;  // guarded by mu
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int> bad_reads{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int b = 0; b < kBatches; ++b) {
+        const NodeBatch batch =
+            SizedBatch((w * kBatches + b) * kPerBatch, kPerBatch, 96);
+        store->PutMany(batch);
+        {
+          MutexLock lock(mu);
+          published.insert(published.end(), batch.begin(), batch.end());
+        }
+        if (b % 3 == 0 && !store->Flush().ok()) bad_reads.fetch_add(1);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      Rng rng(r + 1);
+      while (writers_left.load() > 0) {
+        NodeRecord rec;
+        {
+          MutexLock lock(mu);
+          if (published.empty()) continue;
+          rec = published[rng.Uniform(published.size())];
+        }
+        auto got = store->Get(rec.hash);
+        if (!got.ok() || **got != *rec.bytes) bad_reads.fetch_add(1);
+        if (!store->Contains(rec.hash)) bad_reads.fetch_add(1);
+        auto size = store->SizeOf(rec.hash);
+        if (!size.ok() || *size != rec.bytes->size()) bad_reads.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(bad_reads.load(), 0);
+  ASSERT_TRUE(store->Flush().ok());
+  EXPECT_GT(store->page_cache_stats().evictions, 0u);
+  EXPECT_EQ(store->stats().unique_nodes,
+            static_cast<uint64_t>(kWriters * kBatches * kPerBatch));
+  for (const NodeRecord& rec : published) {
+    auto got = store->Get(rec.hash);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(**got, *rec.bytes);
+  }
 }
 
 }  // namespace

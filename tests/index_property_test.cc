@@ -3,15 +3,20 @@
 // Parameterized property tests run against every index structure. These
 // pin down the behaviors all four structures must share (the common
 // ImmutableIndex contract) and the SIRI properties (§3.2) that only the
-// SIRI instances must satisfy.
+// SIRI instances must satisfy. LargerThanCacheTest runs every structure
+// over a disk-backed store many times larger than its page cache.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <utility>
 
 #include "common/random.h"
+#include "store/file_store.h"
 #include "tests/test_util.h"
 
 namespace siri {
@@ -427,6 +432,78 @@ TEST_P(SiriOnlyPropertyTest, DeletingInsertedKeyRestoresOldRoot) {
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(*restored, *base);
 }
+
+// --- a store larger than its page cache ---------------------------------
+// Immutability means every version stays readable; with a bounded page
+// cache most of those pages live only in the log. Build many versions
+// over a store at least 8x its cache, reopen it, and read them all back.
+
+class LargerThanCacheTest : public ::testing::TestWithParam<IndexKind> {
+ protected:
+  static constexpr uint64_t kCacheBytes = 16 << 10;
+
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "/siri_larger_than_cache_" +
+            std::to_string(getpid()) + "_" + KindName(GetParam()) + ".log";
+    std::remove(path_.c_str());
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  std::string path_;
+};
+
+TEST_P(LargerThanCacheTest, EveryVersionReadsBackAfterReopen) {
+  Rng rng(0xcafe + static_cast<int>(GetParam()));
+  std::vector<Hash> roots;
+  std::vector<std::map<std::string, std::string>> models;
+  {
+    std::shared_ptr<FileNodeStore> store;
+    ASSERT_TRUE(FileNodeStore::Open(io::Env::Default(), path_, &store,
+                                    kCacheBytes)
+                    .ok());
+    auto index = MakeIndex(GetParam(), store);
+    std::map<std::string, std::string> model;
+    Hash root = index->EmptyRoot();
+    for (int version = 0; version < 24; ++version) {
+      std::vector<KV> puts;
+      for (int i = 0; i < 60; ++i) {
+        const int key = static_cast<int>(rng.Uniform(600));
+        puts.push_back(KV{TKey(key), TVal(key, version) + rng.Bytes(24)});
+      }
+      auto next = index->PutBatch(root, puts);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      for (const auto& kv : puts) model[kv.key] = kv.value;
+      root = *next;
+      roots.push_back(root);
+      models.push_back(model);
+      ASSERT_TRUE(store->Flush().ok());
+    }
+    ASSERT_GE(store->stats().unique_bytes, 8 * kCacheBytes);
+    const NodeCache::Stats cache = store->page_cache_stats();
+    EXPECT_GT(cache.evictions, 0u);
+    EXPECT_LE(cache.resident_bytes, kCacheBytes);
+  }
+
+  std::shared_ptr<FileNodeStore> reopened;
+  ASSERT_TRUE(FileNodeStore::Open(io::Env::Default(), path_, &reopened,
+                                  kCacheBytes)
+                  .ok());
+  EXPECT_EQ(reopened->recovered_truncations(), 0u);
+  auto index = MakeIndex(GetParam(), reopened);
+  for (size_t v = 0; v < roots.size(); ++v) {
+    SCOPED_TRACE("version " + std::to_string(v));
+    ExpectContent(*index, roots[v], models[v]);
+  }
+  // The reads really went to the log: far more misses than fit in cache.
+  EXPECT_GT(reopened->page_cache_stats().misses, 0u);
+  EXPECT_LE(reopened->page_cache_stats().resident_bytes, kCacheBytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllIndexes, LargerThanCacheTest, ::testing::ValuesIn(AllKinds()),
+    [](const ::testing::TestParamInfo<IndexKind>& info) {
+      return KindName(info.param);
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     AllIndexes, IndexPropertyTest, ::testing::ValuesIn(AllKinds()),
