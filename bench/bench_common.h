@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -99,9 +100,10 @@ inline uint64_t ParseScale(int argc, char** argv) {
              " [--threads=K[,K...]] [--write-threads=K[,K...]]\n"
              "  fig06 also takes [--threads-only] [--write-scaling-only]"
              " [--branch-commits-only] [--smoke]\n"
-             "  fig06 --transport=socket also takes [--chaos] (goodput"
-             " under injected wire faults) and [--pipeline] (depth sweep"
-             " of writers sharing one connection)\n",
+             "  fig06 --transport=socket also takes one of [--chaos]"
+             " (goodput under injected wire faults), [--pipeline] (depth"
+             " sweep of writers sharing one connection) or"
+             " [--disk-fault=enospc] (read-only degradation)\n",
              argv[0]);
       exit(0);
     }
@@ -184,6 +186,26 @@ inline bool HasFlag(int argc, char** argv, const char* flag) {
   return false;
 }
 
+/// Which fig06 socket table the flags select: "disk-fault"
+/// (--disk-fault=enospc), "chaos" (--chaos), "pipeline" (--pipeline), or
+/// "commit" when none is given. Each table is its own run, so naming more
+/// than one exits 2 instead of silently running only one of them.
+inline std::string ParseSocketTable(int argc, char** argv) {
+  std::vector<std::string> picked;
+  if (ParseDiskFaultFlag(argc, argv) == "enospc") {
+    picked.push_back("disk-fault");
+  }
+  if (HasFlag(argc, argv, "--chaos")) picked.push_back("chaos");
+  if (HasFlag(argc, argv, "--pipeline")) picked.push_back("pipeline");
+  if (picked.size() > 1) {
+    fprintf(stderr, "%s: --%s and --%s select different socket tables; "
+            "pass at most one\n",
+            argv[0], picked[0].c_str(), picked[1].c_str());
+    exit(2);
+  }
+  return picked.empty() ? "commit" : picked[0];
+}
+
 struct NamedIndex {
   std::string name;
   std::unique_ptr<ImmutableIndex> index;
@@ -219,6 +241,39 @@ inline Hash LoadRecords(ImmutableIndex* index, const std::vector<KV>& records,
   return root;
 }
 
+/// LoadRecords into each of \p indexes; returns their roots in order.
+inline std::vector<Hash> LoadAll(const std::vector<NamedIndex>& indexes,
+                                 const std::vector<KV>& records) {
+  std::vector<Hash> roots;
+  for (const NamedIndex& named : indexes) {
+    roots.push_back(LoadRecords(named.index.get(), records));
+  }
+  return roots;
+}
+
+/// \p num / \p den, or 0 when \p den is 0 (an empty cell reports 0).
+inline double Ratio(double num, double den) { return den == 0 ? 0 : num / den; }
+
+/// Starts \p threads threads that wait on one go flag, releases them
+/// together, and returns the seconds until the last one finishes
+/// body(t) — thread start-up is never timed.
+template <typename Body>
+double RunTimedWorkers(int threads, const Body& body) {
+  std::atomic<bool> go{false};
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      body(t);
+    });
+  }
+  Timer timer;
+  go.store(true, std::memory_order_release);
+  for (auto& w : workers) w.join();
+  return timer.ElapsedSeconds();
+}
+
 /// Runs an op stream (reads point-lookup, writes batched per
 /// \p write_batch) and returns throughput in kops/s.
 inline double RunOps(ImmutableIndex* index, Hash* root,
@@ -247,8 +302,7 @@ inline double RunOps(ImmutableIndex* index, Hash* root,
     SIRI_CHECK(next.ok());
     *root = *next;
   }
-  const double secs = timer.ElapsedSeconds();
-  return secs == 0 ? 0 : static_cast<double>(done) / secs / 1000.0;
+  return Ratio(static_cast<double>(done), timer.ElapsedSeconds()) / 1000.0;
 }
 
 /// Write batch granularity per structure, mirroring the paper's
@@ -359,36 +413,25 @@ inline ConcurrentReadResult RunConcurrentReads(ForkbaseServlet* servlet,
   for (const YcsbOp& op : ops) reads_per_client += op.type == YcsbOp::Type::kRead;
 
   std::vector<Histogram> lat(cfg.threads);
-  std::atomic<bool> go{false};
-  std::vector<std::thread> workers;
-  workers.reserve(cfg.threads);
-  for (int t = 0; t < cfg.threads; ++t) {
-    workers.emplace_back([&, t] {
-      const ImmutableIndex* index = indexes[t].get();
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (const YcsbOp& op : ops) {
-        if (op.type != YcsbOp::Type::kRead) continue;
-        if (cfg.record_latency) {
-          Timer lt;
-          auto got = index->Get(root, op.key, nullptr);
-          lat[t].Record(lt.ElapsedMicros());
-          SIRI_CHECK(got.ok());
-        } else {
-          auto got = index->Get(root, op.key, nullptr);
-          SIRI_CHECK(got.ok());
-        }
+  const double secs = RunTimedWorkers(cfg.threads, [&](int t) {
+    const ImmutableIndex* index = indexes[t].get();
+    for (const YcsbOp& op : ops) {
+      if (op.type != YcsbOp::Type::kRead) continue;
+      if (cfg.record_latency) {
+        Timer lt;
+        auto got = index->Get(root, op.key, nullptr);
+        lat[t].Record(lt.ElapsedMicros());
+        SIRI_CHECK(got.ok());
+      } else {
+        auto got = index->Get(root, op.key, nullptr);
+        SIRI_CHECK(got.ok());
       }
-    });
-  }
-
-  Timer timer;
-  go.store(true, std::memory_order_release);
-  for (auto& w : workers) w.join();
-  const double secs = timer.ElapsedSeconds();
+    }
+  });
 
   ConcurrentReadResult out;
   const uint64_t total_reads = reads_per_client * cfg.threads;
-  out.kops = secs == 0 ? 0 : static_cast<double>(total_reads) / secs / 1000.0;
+  out.kops = Ratio(static_cast<double>(total_reads), secs) / 1000.0;
   for (const auto& s : stores) {
     const auto stats = s->remote_stats();
     out.hit_ratio += stats.HitRatio() / cfg.threads;
@@ -450,36 +493,25 @@ inline ConcurrentWriteResult RunConcurrentWrites(
   uint64_t writes_per_client = 0;
   for (const auto& c : commits) writes_per_client += c.size();
 
-  std::atomic<bool> go{false};
-  std::vector<std::thread> workers;
-  workers.reserve(cfg.threads);
-  for (int t = 0; t < cfg.threads; ++t) {
-    workers.emplace_back([&, t] {
-      ImmutableIndex* index = indexes[t].get();
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      Hash root = base_root;
-      for (const auto& commit : commits) {
-        // Writer-private key prefix: every client builds its own lineage.
-        std::vector<KV> batch;
-        batch.reserve(commit.size());
-        for (const KV& kv : commit) {
-          batch.push_back(KV{"w" + std::to_string(t) + "/" + kv.key, kv.value});
-        }
-        auto next = index->PutBatch(root, std::move(batch));
-        SIRI_CHECK(next.ok());
-        root = *next;
+  const double secs = RunTimedWorkers(cfg.threads, [&](int t) {
+    ImmutableIndex* index = indexes[t].get();
+    Hash root = base_root;
+    for (const auto& commit : commits) {
+      // Writer-private key prefix: every client builds its own lineage.
+      std::vector<KV> batch;
+      batch.reserve(commit.size());
+      for (const KV& kv : commit) {
+        batch.push_back(KV{"w" + std::to_string(t) + "/" + kv.key, kv.value});
       }
-    });
-  }
-
-  Timer timer;
-  go.store(true, std::memory_order_release);
-  for (auto& w : workers) w.join();
-  const double secs = timer.ElapsedSeconds();
+      auto next = index->PutBatch(root, std::move(batch));
+      SIRI_CHECK(next.ok());
+      root = *next;
+    }
+  });
 
   ConcurrentWriteResult out;
   const uint64_t total_writes = writes_per_client * cfg.threads;
-  out.kops = secs == 0 ? 0 : static_cast<double>(total_writes) / secs / 1000.0;
+  out.kops = Ratio(static_cast<double>(total_writes), secs) / 1000.0;
   out.commits = commits.size() * cfg.threads;
   for (const auto& s : stores) out.upload_rpcs += s->remote_stats().remote_puts;
   return out;
@@ -521,6 +553,27 @@ inline std::string BranchContentionKey(int writer, int commit, int upload,
                                        size_t kv) {
   return "w" + std::to_string(writer) + "/c" + std::to_string(commit) + "/u" +
          std::to_string(upload) + "/k" + std::to_string(kv);
+}
+
+/// Counts the BranchContentionKey keys that \p writers x
+/// \p commits_per_writer commits wrote — uploads [first_upload,
+/// first_upload + uploads), \p upload_kvs keys each — and that are missing
+/// at \p root: the zero-lost-updates check of every contention table.
+inline uint64_t MissingKeys(const ImmutableIndex& index, const Hash& root,
+                            int writers, int commits_per_writer,
+                            int first_upload, int uploads, size_t upload_kvs) {
+  uint64_t missing = 0;
+  for (int t = 0; t < writers; ++t) {
+    for (int c = 0; c < commits_per_writer; ++c) {
+      for (int u = first_upload; u < first_upload + uploads; ++u) {
+        for (size_t k = 0; k < upload_kvs; ++k) {
+          auto got = index.Get(root, BranchContentionKey(t, c, u, k), nullptr);
+          if (!got.ok() || !got->has_value()) ++missing;
+        }
+      }
+    }
+  }
+  return missing;
 }
 
 struct BranchContentionResult {
@@ -579,75 +632,63 @@ inline BranchContentionResult RunBranchContention(
   }
 
   std::atomic<uint64_t> merge_commits{0};
-  std::atomic<bool> go{false};
   const uint64_t flushes_before = servlet->store()->stats().flushes;
-  std::vector<std::thread> workers;
-  workers.reserve(cfg.threads);
-  for (int t = 0; t < cfg.threads; ++t) {
-    workers.emplace_back([&, t] {
-      ImmutableIndex* index = client_index.get();
-      MergeCommitOptions opts;
-      // The bench must never abandon a commit: at 8 writers on one branch
-      // a streak of 64+ lost races is possible, so the cap is effectively
-      // removed (backoff still bounds the retry rate).
-      opts.max_retries = std::numeric_limits<int>::max();
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (int c = 0; c < cfg.commits_per_writer; ++c) {
-        auto head = mgr->Head(branch);
-        SIRI_CHECK(head.ok());
-        auto head_commit = mgr->ReadCommit(*head);
-        SIRI_CHECK(head_commit.ok());
-        // Build the commit's body: several chained chunk uploads on top
-        // of the head root (each PutBatch stages its dirty path and ships
-        // it as one upload RPC).
-        Hash root = head_commit->root;
-        for (int u = 0; u < cfg.uploads_per_commit; ++u) {
-          std::vector<KV> batch;
-          batch.reserve(cfg.upload_kvs);
-          for (size_t k = 0; k < cfg.upload_kvs; ++k) {
-            batch.push_back(KV{BranchContentionKey(t, c, u, k),
-                               "v" + std::to_string(c)});
-          }
-          auto next = index->PutBatch(root, std::move(batch));
-          SIRI_CHECK(next.ok());
-          root = *next;
+  const double secs = RunTimedWorkers(cfg.threads, [&](int t) {
+    ImmutableIndex* index = client_index.get();
+    MergeCommitOptions opts;
+    // The bench must never abandon a commit: at 8 writers on one branch
+    // a streak of 64+ lost races is possible, so the cap is effectively
+    // removed (backoff still bounds the retry rate).
+    opts.max_retries = std::numeric_limits<int>::max();
+    for (int c = 0; c < cfg.commits_per_writer; ++c) {
+      auto head = mgr->Head(branch);
+      SIRI_CHECK(head.ok());
+      auto head_commit = mgr->ReadCommit(*head);
+      SIRI_CHECK(head_commit.ok());
+      // Build the commit's body: several chained chunk uploads on top
+      // of the head root (each PutBatch stages its dirty path and ships
+      // it as one upload RPC).
+      Hash root = head_commit->root;
+      for (int u = 0; u < cfg.uploads_per_commit; ++u) {
+        std::vector<KV> batch;
+        batch.reserve(cfg.upload_kvs);
+        for (size_t k = 0; k < cfg.upload_kvs; ++k) {
+          batch.push_back(KV{BranchContentionKey(t, c, u, k),
+                             "v" + std::to_string(c)});
         }
-        if (cfg.group_commit) {
-          // Publish through the combining commit queue: racing committers
-          // batch into one combined merge + one flush + one head swing.
-          PublishSpec spec;
-          spec.index = index;
-          spec.branch = branch;
-          spec.new_root = root;
-          spec.author = "w" + std::to_string(t);
-          spec.message = "c" + std::to_string(c);
-          spec.expected_head = *head;
-          auto landed = servlet->combiner()->Publish(spec);
-          SIRI_CHECK(landed.ok());
-          merge_commits.fetch_add(landed->merge_commits,
-                                  std::memory_order_relaxed);
-        } else {
-          auto landed = CommitWithMerge(mgr, index, branch, root,
-                                        "w" + std::to_string(t),
-                                        "c" + std::to_string(c), *head, opts);
-          SIRI_CHECK(landed.ok());
-          merge_commits.fetch_add(landed->merge_commits,
-                                  std::memory_order_relaxed);
-        }
+        auto next = index->PutBatch(root, std::move(batch));
+        SIRI_CHECK(next.ok());
+        root = *next;
       }
-    });
-  }
-
-  Timer timer;
-  go.store(true, std::memory_order_release);
-  for (auto& w : workers) w.join();
-  const double secs = timer.ElapsedSeconds();
+      if (cfg.group_commit) {
+        // Publish through the combining commit queue: racing committers
+        // batch into one combined merge + one flush + one head swing.
+        PublishSpec spec;
+        spec.index = index;
+        spec.branch = branch;
+        spec.new_root = root;
+        spec.author = "w" + std::to_string(t);
+        spec.message = "c" + std::to_string(c);
+        spec.expected_head = *head;
+        auto landed = servlet->combiner()->Publish(spec);
+        SIRI_CHECK(landed.ok());
+        merge_commits.fetch_add(landed->merge_commits,
+                                std::memory_order_relaxed);
+      } else {
+        auto landed = CommitWithMerge(mgr, index, branch, root,
+                                      "w" + std::to_string(t),
+                                      "c" + std::to_string(c), *head, opts);
+        SIRI_CHECK(landed.ok());
+        merge_commits.fetch_add(landed->merge_commits,
+                                std::memory_order_relaxed);
+      }
+    }
+  });
 
   BranchContentionResult out;
   out.commits =
       static_cast<uint64_t>(cfg.threads) * cfg.commits_per_writer;
-  out.commits_per_sec =
-      secs == 0 ? 0 : static_cast<double>(out.commits) / secs;
+  out.commits_per_sec = Ratio(static_cast<double>(out.commits), secs);
   const BranchStats stats = mgr->branch_stats(branch);
   out.cas_failures = stats.cas_failures;
   out.merge_commits = merge_commits.load();
@@ -660,20 +701,10 @@ inline BranchContentionResult RunBranchContention(
   SIRI_CHECK(head.ok());
   auto head_commit = mgr->ReadCommit(*head);
   SIRI_CHECK(head_commit.ok());
-  for (int t = 0; t < cfg.threads && !out.lost_update; ++t) {
-    for (int c = 0; c < cfg.commits_per_writer && !out.lost_update; ++c) {
-      for (int u = 0; u < cfg.uploads_per_commit && !out.lost_update; ++u) {
-        for (size_t k = 0; k < cfg.upload_kvs; ++k) {
-          auto got = proto.Get(head_commit->root,
-                               BranchContentionKey(t, c, u, k), nullptr);
-          if (!got.ok() || !got->has_value()) {
-            out.lost_update = true;
-            break;
-          }
-        }
-      }
-    }
-  }
+  out.lost_update =
+      MissingKeys(proto, head_commit->root, cfg.threads,
+                  cfg.commits_per_writer, /*first_upload=*/0,
+                  cfg.uploads_per_commit, cfg.upload_kvs) > 0;
   return out;
 }
 
@@ -704,10 +735,7 @@ inline void RunBranchCommitTable(uint64_t n, uint64_t mbt_buckets,
   auto server_store = NewInMemoryNodeStore();
   ForkbaseServlet servlet(server_store);
   auto indexes = MakeAllIndexes(server_store, mbt_buckets);
-  std::vector<Hash> roots;
-  for (auto& [name, index] : indexes) {
-    roots.push_back(LoadRecords(index.get(), records));
-  }
+  const std::vector<Hash> roots = LoadAll(indexes, records);
 
   for (int threads : thread_counts) {
     printf("%8d", threads);
@@ -764,10 +792,7 @@ inline void RunGroupCommitTable(uint64_t n, uint64_t mbt_buckets,
   auto server_store = NewInMemoryNodeStore();
   ForkbaseServlet servlet(server_store, gc);
   auto indexes = MakeAllIndexes(server_store, mbt_buckets);
-  std::vector<Hash> roots;
-  for (auto& [name, index] : indexes) {
-    roots.push_back(LoadRecords(index.get(), records));
-  }
+  const std::vector<Hash> roots = LoadAll(indexes, records);
 
   std::vector<std::string> machine_lines;
   for (int threads : thread_counts) {
@@ -814,19 +839,216 @@ inline void RunGroupCommitTable(uint64_t n, uint64_t mbt_buckets,
   for (const std::string& line : machine_lines) printf("%s\n", line.c_str());
 }
 
-/// Drives and prints one [socket commit pipeline] table: the same
-/// contended-branch group-commit regime, but through the REAL boundary —
-/// an in-process SiriServer on an ephemeral loopback port, a file-backed
-/// server store (real fsyncs), and K writer clients each owning its own
-/// SocketTransport connection and ForkbaseClientStore.
+/// POS-Tree alone: for the socket tables whose subject is the boundary,
+/// not the index.
+inline std::vector<NamedIndex> MakePosIndex(const NodeStorePtr& store) {
+  std::vector<NamedIndex> out;
+  out.push_back({"pos", std::make_unique<PosTree>(store)});
+  return out;
+}
+
+/// The resilient client the fault tables use: a 10 s RPC deadline and up
+/// to 10 attempts with 2–50 ms jittered backoff.
+inline net::SocketTransport::Options RetryingOptions(uint64_t jitter_seed) {
+  net::SocketTransport::Options opts;
+  opts.rpc_timeout_ms = 10000;
+  opts.retry.max_attempts = 10;
+  opts.retry.backoff_init_ms = 2;
+  opts.retry.backoff_max_ms = 50;
+  opts.retry.jitter_seed = jitter_seed;
+  return opts;
+}
+
+/// The real wire boundary every socket table drives: an in-process
+/// SiriServer on an ephemeral loopback port over a file-backed server
+/// store (real fsyncs, through \p env — e.g. an io::FaultEnv), serving the
+/// structures \p make_indexes builds on that store, each loaded with \p n
+/// records. The combiner and the server's group flush share one publish
+/// window.
 ///
-/// Honesty rules for these numbers: the in-process tables above *simulate*
-/// their round trips (slept RTTs), this table *measures* loopback TCP —
-/// the two are different quantities and must never be read as one series.
-/// So every socket cell reports what only a real transport can measure —
-/// bytes per RPC and syscalls per commit — next to its commits/s, and the
-/// `#json` lines carry `transport=socket` so the recorded trajectory can
-/// never silently mix the regimes.
+/// A table runs cells: Connect picks a structure, creates a fresh branch
+/// at its loaded root and connects warm clients; RunPublishLoop lands the
+/// commits; TransportTotals, store() and MissingAtHead read what the cell
+/// cost and whether every acked key survived.
+///
+/// Honesty rules for these numbers: the in-process tables *simulate*
+/// their round trips (slept RTTs), the socket tables *measure* loopback
+/// TCP — the two are different quantities and must never be read as one
+/// series. So every socket cell reports what only a real transport can
+/// measure — bytes per RPC and syscalls per commit — and the `#json` lines
+/// carry `transport=socket` so the recorded trajectory can never silently
+/// mix the regimes.
+class SocketScenario {
+ public:
+  struct Client {
+    std::shared_ptr<net::SocketTransport> transport;
+    std::shared_ptr<ForkbaseClientStore> store;
+    std::unique_ptr<ImmutableIndex> index;
+  };
+
+  /// \param tag names the store file, /tmp/siri_bench_<tag>_<pid>.log.
+  SocketScenario(const std::string& tag, uint64_t n, uint64_t window_micros,
+                 const std::function<std::vector<NamedIndex>(
+                     const NodeStorePtr&)>& make_indexes,
+                 io::Env* env = io::Env::Default())
+      : path_("/tmp/siri_bench_" + tag + "_" + std::to_string(getpid()) +
+              ".log") {
+    std::remove(path_.c_str());
+    SIRI_CHECK(FileNodeStore::Open(env, path_, &store_).ok());
+    GroupCommitOptions gc;
+    gc.window_micros = window_micros;
+    // The bench must never abandon a commit.
+    gc.merge.max_retries = std::numeric_limits<int>::max();
+    servlet_ = std::make_unique<ForkbaseServlet>(store_, gc);
+
+    YcsbGenerator gen(1);
+    const auto records = gen.GenerateRecords(n);
+    indexes_ = make_indexes(store_);
+    roots_ = LoadAll(indexes_, records);
+    // The server serves Publish RPCs for each structure: same store, same
+    // geometry as the loaded index.
+    for (auto& named : make_indexes(store_)) {
+      servlet_->RegisterIndex(std::move(named.index));
+    }
+
+    net::ServerOptions sopts;
+    sopts.group_flush_window_micros = window_micros;
+    server_ = std::make_unique<net::SiriServer>(servlet_.get(), sopts);
+    SIRI_CHECK(server_->Listen(0).ok());
+    SIRI_CHECK(server_->Start().ok());
+  }
+
+  ~SocketScenario() {
+    clients_.clear();
+    server_->Stop();
+    std::remove(path_.c_str());
+  }
+
+  /// Starts a cell on \p structure: closes the previous cell's
+  /// connections, creates \p branch at the structure's loaded root, and
+  /// connects one client per entry of \p per_client. Every client is
+  /// warmed BEFORE any timer with the base version as one version-transfer
+  /// pack (cache write-allocation), exactly like the in-process tables.
+  void Connect(size_t structure, const std::string& branch,
+               const std::vector<net::SocketTransport::Options>& per_client) {
+    clients_.clear();
+    structure_ = structure;
+    branch_ = branch;
+    SIRI_CHECK(servlet_->branches()
+                   ->CommitOnBranch(branch, roots_[structure], "init", "base")
+                   .ok());
+    auto pack = PackVersions(index(), {roots_[structure]});
+    SIRI_CHECK(pack.ok());
+    clients_.resize(per_client.size());
+    for (size_t t = 0; t < per_client.size(); ++t) {
+      Client& cl = clients_[t];
+      SIRI_CHECK(net::SocketTransport::Connect("127.0.0.1", server_->port(),
+                                               &cl.transport, per_client[t])
+                     .ok());
+      cl.store = std::make_shared<ForkbaseClientStore>(cl.transport, 32 << 20);
+      cl.index = index().WithStore(cl.store);
+      SIRI_CHECK(UnpackVersions(*pack, cl.store.get()).ok());
+    }
+  }
+
+  /// The one socket publish loop: \p writers threads, mapped onto the
+  /// clients round-robin, each land \p commits_per_writer commits on the
+  /// cell's branch. A commit reads the head, fetches and decodes the head
+  /// commit, builds a batch of writer-private keys (upload \p key_row of
+  /// BranchContentionKey) on its root, and publishes it against the head
+  /// it read; every publish must be acked. Returns commits/s.
+  double RunPublishLoop(int writers, int commits_per_writer, int key_row) {
+    const size_t upload_kvs = BranchContentionConfig().upload_kvs;
+    const double secs = RunTimedWorkers(writers, [&](int t) {
+      Client& cl = clients_[t % clients_.size()];
+      for (int c = 0; c < commits_per_writer; ++c) {
+        auto head = cl.transport->Head(branch_);
+        SIRI_CHECK(head.ok());
+        auto node = cl.store->Get(*head);
+        SIRI_CHECK(node.ok());
+        auto head_commit = Commit::Decode(**node);
+        SIRI_CHECK(head_commit.ok());
+        std::vector<KV> batch;
+        batch.reserve(upload_kvs);
+        for (size_t k = 0; k < upload_kvs; ++k) {
+          batch.push_back(KV{BranchContentionKey(t, c, key_row, k),
+                             "v" + std::to_string(c)});
+        }
+        auto next = cl.index->PutBatch(head_commit->root, std::move(batch));
+        SIRI_CHECK(next.ok());
+        net::PublishRequest pub;
+        pub.structure = indexes_[structure_].name;
+        pub.branch = branch_;
+        pub.new_root = *next;
+        pub.author = "w" + std::to_string(t);
+        pub.message = "c" + std::to_string(c);
+        pub.expected_head = *head;
+        SIRI_CHECK(cl.transport->Publish(pub).ok());
+      }
+    });
+    return Ratio(static_cast<double>(writers) * commits_per_writer, secs);
+  }
+
+  /// The cell's transport counters, summed over its clients.
+  net::Transport::Stats TransportTotals() const {
+    net::Transport::Stats sum;
+    for (const Client& cl : clients_) {
+      const auto s = cl.transport->stats();
+      sum.rpcs += s.rpcs;
+      sum.bytes_sent += s.bytes_sent;
+      sum.bytes_received += s.bytes_received;
+      sum.syscalls += s.syscalls;
+      sum.retries += s.retries;
+      sum.reconnects += s.reconnects;
+      sum.deadline_misses += s.deadline_misses;
+      sum.pushed_nodes += s.pushed_nodes;
+      sum.pushed_bytes += s.pushed_bytes;
+    }
+    return sum;
+  }
+
+  /// The cell branch's head, read server-side.
+  Hash Head() const {
+    auto head = servlet_->branches()->Head(branch_);
+    SIRI_CHECK(head.ok());
+    return *head;
+  }
+
+  /// Keys RunPublishLoop(writers, commits_per_writer, key_row) committed
+  /// that are missing at the cell branch's head — read server-side, so it
+  /// is verification, not measured traffic.
+  uint64_t MissingAtHead(int writers, int commits_per_writer,
+                         int key_row) const {
+    auto head_commit = servlet_->branches()->ReadCommit(Head());
+    SIRI_CHECK(head_commit.ok());
+    return MissingKeys(index(), head_commit->root, writers,
+                       commits_per_writer, key_row, /*uploads=*/1,
+                       BranchContentionConfig().upload_kvs);
+  }
+
+  const std::vector<NamedIndex>& indexes() const { return indexes_; }
+  std::vector<Client>& clients() { return clients_; }
+  ForkbaseServlet& servlet() { return *servlet_; }
+  net::SiriServer& server() { return *server_; }
+  FileNodeStore& store() { return *store_; }
+
+ private:
+  const ImmutableIndex& index() const { return *indexes_[structure_].index; }
+
+  std::string path_;
+  std::shared_ptr<FileNodeStore> store_;
+  std::unique_ptr<ForkbaseServlet> servlet_;
+  std::vector<NamedIndex> indexes_;
+  std::vector<Hash> roots_;
+  std::unique_ptr<net::SiriServer> server_;
+  std::vector<Client> clients_;
+  size_t structure_ = 0;
+  std::string branch_;
+};
+
+/// Drives and prints one [socket commit pipeline] table: the
+/// contended-branch group-commit regime through the real boundary, the
+/// four structures, K writer clients each owning its own connection.
 inline void RunSocketCommitTable(uint64_t n, uint64_t mbt_buckets,
                                  const std::vector<int>& thread_counts,
                                  int commits_per_writer,
@@ -841,162 +1063,35 @@ inline void RunSocketCommitTable(uint64_t n, uint64_t mbt_buckets,
          "pos(cmt/s|B/rpc|sys|cpf)", "mbt(cmt/s|B/rpc|sys|cpf)",
          "mpt(cmt/s|B/rpc|sys|cpf)", "mvmb(cmt/s|B/rpc|sys|cpf)");
 
-  YcsbGenerator gen(1);
-  auto records = gen.GenerateRecords(n);
-
-  const std::string store_path =
-      "/tmp/siri_bench_socket_" + std::to_string(getpid()) + ".log";
-  std::remove(store_path.c_str());
-  std::shared_ptr<FileNodeStore> server_store;
-  SIRI_CHECK(FileNodeStore::Open(store_path, &server_store).ok());
-
-  GroupCommitOptions gc;
-  gc.window_micros = window_micros;
-  gc.merge.max_retries = std::numeric_limits<int>::max();
-  ForkbaseServlet servlet(server_store, gc);
-  auto indexes = MakeAllIndexes(server_store, mbt_buckets);
-  std::vector<Hash> roots;
-  for (auto& [name, index] : indexes) {
-    roots.push_back(LoadRecords(index.get(), records));
-    // The server must serve Publish RPCs for each structure: same store,
-    // same geometry as the loaded index.
-  }
-  {
-    auto registered = MakeAllIndexes(server_store, mbt_buckets);
-    for (auto& [name, index] : registered) {
-      servlet.RegisterIndex(std::move(index));
-    }
-  }
-
-  net::ServerOptions sopts;
-  sopts.group_flush_window_micros = window_micros;
-  net::SiriServer server(&servlet, sopts);
-  SIRI_CHECK(server.Listen(0).ok());
-  SIRI_CHECK(server.Start().ok());
-  const int port = server.port();
-
+  SocketScenario s("socket", n, window_micros,
+                   [mbt_buckets](const NodeStorePtr& store) {
+                     return MakeAllIndexes(store, mbt_buckets);
+                   });
   std::vector<std::string> machine_lines;
   for (int threads : thread_counts) {
     printf("%8d", threads);
-    for (size_t i = 0; i < indexes.size(); ++i) {
-      const std::string branch =
-          indexes[i].name + "-sock-k" + std::to_string(threads);
-      {
-        auto init = servlet.branches()->CommitOnBranch(branch, roots[i],
-                                                       "init", "base");
-        SIRI_CHECK(init.ok());
-      }
-
-      // Connect and warm every client BEFORE the timer: each client
-      // receives the base version as one version-transfer pack (cache
-      // write-allocation), exactly like the in-process tables.
-      struct SocketClient {
-        std::shared_ptr<net::SocketTransport> transport;
-        std::shared_ptr<ForkbaseClientStore> store;
-        std::unique_ptr<ImmutableIndex> index;
-      };
-      std::vector<SocketClient> clients(threads);
-      auto pack = PackVersions(*indexes[i].index, {roots[i]});
-      SIRI_CHECK(pack.ok());
-      for (int t = 0; t < threads; ++t) {
-        SIRI_CHECK(net::SocketTransport::Connect("127.0.0.1", port,
-                                                 &clients[t].transport)
-                       .ok());
-        clients[t].store = std::make_shared<ForkbaseClientStore>(
-            clients[t].transport, 32 << 20);
-        clients[t].index = indexes[i].index->WithStore(clients[t].store);
-        SIRI_CHECK(UnpackVersions(*pack, clients[t].store.get()).ok());
-      }
+    for (size_t i = 0; i < s.indexes().size(); ++i) {
+      const std::string& name = s.indexes()[i].name;
+      s.Connect(i, name + "-sock-k" + std::to_string(threads),
+                std::vector<net::SocketTransport::Options>(threads));
       // Snapshot after warmup so the reported traffic is the commits'.
-      net::Transport::Stats warm{};
-      for (auto& c : clients) {
-        const auto s = c.transport->stats();
-        warm.rpcs += s.rpcs;
-        warm.bytes_sent += s.bytes_sent;
-        warm.bytes_received += s.bytes_received;
-        warm.syscalls += s.syscalls;
-      }
-      const uint64_t fsyncs_before = server_store->stats().flushes;
-
-      std::atomic<bool> go{false};
-      std::vector<std::thread> workers;
-      workers.reserve(threads);
-      for (int t = 0; t < threads; ++t) {
-        workers.emplace_back([&, t] {
-          auto& cl = clients[t];
-          while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-          for (int c = 0; c < commits_per_writer; ++c) {
-            auto head = cl.transport->Head(branch);
-            SIRI_CHECK(head.ok());
-            auto node = cl.store->Get(*head);
-            SIRI_CHECK(node.ok());
-            auto head_commit = Commit::Decode(**node);
-            SIRI_CHECK(head_commit.ok());
-            std::vector<KV> batch;
-            const BranchContentionConfig defaults;
-            batch.reserve(defaults.upload_kvs);
-            for (size_t k = 0; k < defaults.upload_kvs; ++k) {
-              batch.push_back(
-                  KV{BranchContentionKey(t, c, 0, k), "v" + std::to_string(c)});
-            }
-            auto next = cl.index->PutBatch(head_commit->root, std::move(batch));
-            SIRI_CHECK(next.ok());
-            net::PublishRequest pub;
-            pub.structure = indexes[i].name;
-            pub.branch = branch;
-            pub.new_root = *next;
-            pub.author = "w" + std::to_string(t);
-            pub.message = "c" + std::to_string(c);
-            pub.expected_head = *head;
-            auto landed = cl.transport->Publish(pub);
-            SIRI_CHECK(landed.ok());
-          }
-        });
-      }
-      Timer timer;
-      go.store(true, std::memory_order_release);
-      for (auto& w : workers) w.join();
-      const double secs = timer.ElapsedSeconds();
-
-      net::Transport::Stats total{};
-      for (auto& c : clients) {
-        const auto s = c.transport->stats();
-        total.rpcs += s.rpcs;
-        total.bytes_sent += s.bytes_sent;
-        total.bytes_received += s.bytes_received;
-        total.syscalls += s.syscalls;
-      }
-      const uint64_t rpcs = total.rpcs - warm.rpcs;
-      const uint64_t bytes = (total.bytes_sent + total.bytes_received) -
-                             (warm.bytes_sent + warm.bytes_received);
-      const uint64_t syscalls = total.syscalls - warm.syscalls;
-      const uint64_t commits =
-          static_cast<uint64_t>(threads) * commits_per_writer;
-      const uint64_t fsyncs = server_store->stats().flushes - fsyncs_before;
+      const net::Transport::Stats warm = s.TransportTotals();
+      const uint64_t fsyncs_before = s.store().stats().flushes;
       const double commits_per_sec =
-          secs == 0 ? 0 : static_cast<double>(commits) / secs;
+          s.RunPublishLoop(threads, commits_per_writer, /*key_row=*/0);
+      const net::Transport::Stats total = s.TransportTotals();
+      const double commits =
+          static_cast<double>(threads) * commits_per_writer;
       const double bytes_per_rpc =
-          rpcs == 0 ? 0 : static_cast<double>(bytes) / rpcs;
+          Ratio(total.bytes_sent + total.bytes_received - warm.bytes_sent -
+                    warm.bytes_received,
+                total.rpcs - warm.rpcs);
       const double syscalls_per_commit =
-          commits == 0 ? 0 : static_cast<double>(syscalls) / commits;
+          Ratio(total.syscalls - warm.syscalls, commits);
       const double commits_per_fsync =
-          fsyncs == 0 ? 0 : static_cast<double>(commits) / fsyncs;
-
-      // Zero lost updates across real connections, verified server-side.
-      auto head = servlet.branches()->Head(branch);
-      SIRI_CHECK(head.ok());
-      auto head_commit = servlet.branches()->ReadCommit(*head);
-      SIRI_CHECK(head_commit.ok());
-      const BranchContentionConfig defaults;
-      for (int t = 0; t < threads; ++t) {
-        for (int c = 0; c < commits_per_writer; ++c) {
-          for (size_t k = 0; k < defaults.upload_kvs; ++k) {
-            auto got = indexes[i].index->Get(
-                head_commit->root, BranchContentionKey(t, c, 0, k), nullptr);
-            SIRI_CHECK(got.ok() && got->has_value());
-          }
-        }
-      }
+          Ratio(commits, s.store().stats().flushes - fsyncs_before);
+      // Zero lost updates across real connections.
+      SIRI_CHECK(s.MissingAtHead(threads, commits_per_writer, 0) == 0);
 
       printf("  %8.1f|%6.0f|%4.1f|%4.1f", commits_per_sec, bytes_per_rpc,
              syscalls_per_commit, commits_per_fsync);
@@ -1007,18 +1102,14 @@ inline void RunSocketCommitTable(uint64_t n, uint64_t mbt_buckets,
                "transport=socket commits_per_sec=%.1f bytes_per_rpc=%.0f "
                "syscalls_per_commit=%.2f commits_per_fsync=%.2f "
                "window_us=%llu",
-               indexes[i].name.c_str(), threads, commits_per_sec,
-               bytes_per_rpc, syscalls_per_commit, commits_per_fsync,
+               name.c_str(), threads, commits_per_sec, bytes_per_rpc,
+               syscalls_per_commit, commits_per_fsync,
                static_cast<unsigned long long>(window_micros));
       machine_lines.emplace_back(line);
-      clients.clear();  // closes the connections before the next cell
     }
     printf("\n");
   }
   for (const std::string& line : machine_lines) printf("%s\n", line.c_str());
-
-  server.Stop();
-  std::remove(store_path.c_str());
 }
 
 /// The pipelined wire boundary, isolated: K writer threads SHARING ONE
@@ -1043,140 +1134,44 @@ inline void RunSocketPipelineTable(uint64_t n, int threads,
   printf("%8s %6s %10s %10s %10s %10s %10s\n", "depth", "push", "cmt/s",
          "B/rpc", "sys/cmt", "push/cmt", "rget/cmt");
 
-  YcsbGenerator gen(1);
-  auto records = gen.GenerateRecords(n);
-
-  const std::string store_path =
-      "/tmp/siri_bench_pipeline_" + std::to_string(getpid()) + ".log";
-  std::remove(store_path.c_str());
-  std::shared_ptr<FileNodeStore> server_store;
-  SIRI_CHECK(FileNodeStore::Open(store_path, &server_store).ok());
-
-  GroupCommitOptions gc;
-  gc.window_micros = window_micros;
-  gc.merge.max_retries = std::numeric_limits<int>::max();
-  ForkbaseServlet servlet(server_store, gc);
-  PosTree server_index(server_store);
-  const Hash base_root = LoadRecords(&server_index, records);
-  servlet.RegisterIndex(std::make_unique<PosTree>(server_store));
-
-  net::ServerOptions sopts;
-  sopts.group_flush_window_micros = window_micros;
-  net::SiriServer server(&servlet, sopts);
-  SIRI_CHECK(server.Listen(0).ok());
-  SIRI_CHECK(server.Start().ok());
-  const int port = server.port();
+  SocketScenario s("pipeline", n, window_micros, MakePosIndex);
 
   // Cells: every depth with push off, plus the deepest depth with push on
-  // (push is flag-gated precisely so the off rows reproduce the PR 7
-  // baseline series).
+  // (push is flag-gated precisely so the off rows reproduce the
+  // pre-push baseline series).
   std::vector<std::pair<int, bool>> cells;
   for (int d : depths) cells.push_back({d, false});
   if (!depths.empty()) cells.push_back({depths.back(), true});
 
   std::vector<std::string> machine_lines;
   for (const auto& [depth, push] : cells) {
-    const std::string branch = std::string("pipe-d") + std::to_string(depth) +
-                               (push ? "-push" : "");
-    {
-      auto init =
-          servlet.branches()->CommitOnBranch(branch, base_root, "init", "base");
-      SIRI_CHECK(init.ok());
-    }
-
     net::SocketTransport::Options topts;
     topts.max_inflight = depth;
     topts.cache_push = push;
-    std::shared_ptr<net::SocketTransport> transport;
-    SIRI_CHECK(
-        net::SocketTransport::Connect("127.0.0.1", port, &transport, topts)
-            .ok());
-    auto client_store =
-        std::make_shared<ForkbaseClientStore>(transport, 32 << 20);
-    auto pack = PackVersions(server_index, {base_root});
-    SIRI_CHECK(pack.ok());
-    SIRI_CHECK(UnpackVersions(*pack, client_store.get()).ok());
-
-    const auto warm = transport->stats();
-    const auto warm_store = client_store->remote_stats();
-
-    std::atomic<bool> go{false};
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        PosTree index(client_store);
-        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-        for (int c = 0; c < commits_per_writer; ++c) {
-          auto head = transport->Head(branch);
-          SIRI_CHECK(head.ok());
-          auto node = client_store->Get(*head);
-          SIRI_CHECK(node.ok());
-          auto head_commit = Commit::Decode(**node);
-          SIRI_CHECK(head_commit.ok());
-          std::vector<KV> batch;
-          const BranchContentionConfig defaults;
-          batch.reserve(defaults.upload_kvs);
-          for (size_t k = 0; k < defaults.upload_kvs; ++k) {
-            batch.push_back(
-                KV{BranchContentionKey(t, c, 0, k), "v" + std::to_string(c)});
-          }
-          auto next = index.PutBatch(head_commit->root, std::move(batch));
-          SIRI_CHECK(next.ok());
-          net::PublishRequest pub;
-          pub.structure = "pos";
-          pub.branch = branch;
-          pub.new_root = *next;
-          pub.author = "w" + std::to_string(t);
-          pub.message = "c" + std::to_string(c);
-          pub.expected_head = *head;
-          auto landed = transport->Publish(pub);
-          SIRI_CHECK(landed.ok());
-        }
-      });
-    }
-    Timer timer;
-    go.store(true, std::memory_order_release);
-    for (auto& w : workers) w.join();
-    const double secs = timer.ElapsedSeconds();
-
-    const auto total = transport->stats();
-    const auto total_store = client_store->remote_stats();
-    const uint64_t rpcs = total.rpcs - warm.rpcs;
-    const uint64_t bytes = (total.bytes_sent + total.bytes_received) -
-                           (warm.bytes_sent + warm.bytes_received);
-    const uint64_t syscalls = total.syscalls - warm.syscalls;
-    const uint64_t pushed = total.pushed_nodes - warm.pushed_nodes;
-    const uint64_t rgets = total_store.remote_gets - warm_store.remote_gets;
-    const uint64_t commits =
-        static_cast<uint64_t>(threads) * commits_per_writer;
+    s.Connect(0,
+              std::string("pipe-d") + std::to_string(depth) +
+                  (push ? "-push" : ""),
+              {topts});
+    const ForkbaseClientStore& client_store = *s.clients()[0].store;
+    const net::Transport::Stats warm = s.TransportTotals();
+    const uint64_t warm_gets = client_store.remote_stats().remote_gets;
     const double commits_per_sec =
-        secs == 0 ? 0 : static_cast<double>(commits) / secs;
+        s.RunPublishLoop(threads, commits_per_writer, /*key_row=*/0);
+    const net::Transport::Stats total = s.TransportTotals();
+    const double commits = static_cast<double>(threads) * commits_per_writer;
     const double bytes_per_rpc =
-        rpcs == 0 ? 0 : static_cast<double>(bytes) / rpcs;
+        Ratio(total.bytes_sent + total.bytes_received - warm.bytes_sent -
+                  warm.bytes_received,
+              total.rpcs - warm.rpcs);
     const double syscalls_per_commit =
-        commits == 0 ? 0 : static_cast<double>(syscalls) / commits;
+        Ratio(total.syscalls - warm.syscalls, commits);
     const double pushed_per_commit =
-        commits == 0 ? 0 : static_cast<double>(pushed) / commits;
-    const double rgets_per_commit =
-        commits == 0 ? 0 : static_cast<double>(rgets) / commits;
-
+        Ratio(total.pushed_nodes - warm.pushed_nodes, commits);
+    const double rgets_per_commit = Ratio(
+        client_store.remote_stats().remote_gets - warm_gets, commits);
     // Zero lost updates on the shared pipelined connection, verified
-    // server-side before the numbers are reported.
-    auto head = servlet.branches()->Head(branch);
-    SIRI_CHECK(head.ok());
-    auto head_commit = servlet.branches()->ReadCommit(*head);
-    SIRI_CHECK(head_commit.ok());
-    const BranchContentionConfig defaults;
-    for (int t = 0; t < threads; ++t) {
-      for (int c = 0; c < commits_per_writer; ++c) {
-        for (size_t k = 0; k < defaults.upload_kvs; ++k) {
-          auto got = server_index.Get(head_commit->root,
-                                      BranchContentionKey(t, c, 0, k), nullptr);
-          SIRI_CHECK(got.ok() && got->has_value());
-        }
-      }
-    }
+    // before the numbers are reported.
+    SIRI_CHECK(s.MissingAtHead(threads, commits_per_writer, 0) == 0);
 
     printf("%8d %6s %10.1f %10.0f %10.2f %10.2f %10.2f\n", depth,
            push ? "on" : "off", commits_per_sec, bytes_per_rpc,
@@ -1195,9 +1190,6 @@ inline void RunSocketPipelineTable(uint64_t n, int threads,
     machine_lines.emplace_back(line);
   }
   for (const std::string& line : machine_lines) printf("%s\n", line.c_str());
-
-  server.Stop();
-  std::remove(store_path.c_str());
 }
 
 /// Goodput under injected wire faults: the socket commit pipeline re-run
@@ -1229,154 +1221,49 @@ inline void RunSocketChaosTable(uint64_t n, int threads,
   printf("%10s %12s %10s %10s %12s %10s\n", "fault_rate", "goodput(c/s)",
          "retries", "reconnects", "ddl_misses", "injected");
 
-  YcsbGenerator gen(1);
-  auto records = gen.GenerateRecords(n);
-
-  const std::string store_path =
-      "/tmp/siri_bench_chaos_" + std::to_string(getpid()) + ".log";
-  std::remove(store_path.c_str());
-  std::shared_ptr<FileNodeStore> server_store;
-  SIRI_CHECK(FileNodeStore::Open(store_path, &server_store).ok());
-
-  GroupCommitOptions gc;
-  gc.window_micros = window_micros;
-  gc.merge.max_retries = std::numeric_limits<int>::max();
-  ForkbaseServlet servlet(server_store, gc);
-  auto loaded = std::make_unique<PosTree>(server_store);
-  const Hash base_root = LoadRecords(loaded.get(), records);
-  servlet.RegisterIndex(std::make_unique<PosTree>(server_store));
-
-  net::ServerOptions sopts;
-  sopts.group_flush_window_micros = window_micros;
-  net::SiriServer server(&servlet, sopts);
-  SIRI_CHECK(server.Listen(0).ok());
-  SIRI_CHECK(server.Start().ok());
-  const int port = server.port();
-
+  SocketScenario s("chaos", n, window_micros, MakePosIndex);
+  // Publishes the combiner executed: solo, combined, and individual
+  // fallbacks (a deduplicated replay counts in none of them).
+  auto executed_publishes = [&s] {
+    const auto st = s.servlet().combiner()->stats();
+    return st.solo_commits + st.combined_commits + st.fallbacks;
+  };
   std::vector<std::string> machine_lines;
-  auto pack = PackVersions(*loaded, {base_root});
-  SIRI_CHECK(pack.ok());
   for (size_t row = 0; row < fault_rates.size(); ++row) {
     const double rate = fault_rates[row];
-    const std::string branch = "pos-chaos-r" + std::to_string(row);
-    {
-      auto init =
-          servlet.branches()->CommitOnBranch(branch, base_root, "init", "base");
-      SIRI_CHECK(init.ok());
-    }
-
-    struct ChaosClient {
-      std::shared_ptr<net::FaultInjector> fault;
-      std::shared_ptr<net::SocketTransport> transport;
-      std::shared_ptr<ForkbaseClientStore> store;
-      std::unique_ptr<ImmutableIndex> index;
-    };
-    std::vector<ChaosClient> clients(threads);
+    std::vector<std::shared_ptr<net::FaultInjector>> faults;
+    std::vector<net::SocketTransport::Options> per_client;
     for (int t = 0; t < threads; ++t) {
       net::FaultInjector::RandomConfig cfg;
       cfg.fault_rate = rate;
       cfg.delay_micros = 1000;
-      clients[t].fault = std::make_shared<net::FaultInjector>(
-          /*seed=*/0x5151u + row * 64 + static_cast<uint64_t>(t), cfg);
-      net::SocketTransport::Options topts;
-      topts.rpc_timeout_ms = 10000;
-      topts.retry.max_attempts = 10;
-      topts.retry.backoff_init_ms = 2;
-      topts.retry.backoff_max_ms = 50;
-      topts.retry.jitter_seed = 0x7e57u + static_cast<uint64_t>(t);
-      topts.fault = clients[t].fault;
-      SIRI_CHECK(net::SocketTransport::Connect("127.0.0.1", port,
-                                               &clients[t].transport, topts)
-                     .ok());
-      clients[t].store = std::make_shared<ForkbaseClientStore>(
-          clients[t].transport, 32 << 20);
-      clients[t].index = loaded->WithStore(clients[t].store);
-      SIRI_CHECK(UnpackVersions(*pack, clients[t].store.get()).ok());
+      faults.push_back(std::make_shared<net::FaultInjector>(
+          /*seed=*/0x5151u + row * 64 + static_cast<uint64_t>(t), cfg));
+      per_client.push_back(
+          RetryingOptions(0x7e57u + static_cast<uint64_t>(t)));
+      per_client.back().fault = faults.back();
     }
-    const uint64_t acked_before =
-        servlet.combiner()->stats().solo_commits +
-        servlet.combiner()->stats().combined_commits +
-        servlet.combiner()->stats().fallbacks;
+    s.Connect(0, "pos-chaos-r" + std::to_string(row), per_client);
+    const uint64_t executed_before = executed_publishes();
 
-    std::atomic<bool> go{false};
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        auto& cl = clients[t];
-        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-        for (int c = 0; c < commits_per_writer; ++c) {
-          auto head = cl.transport->Head(branch);
-          SIRI_CHECK(head.ok());
-          auto node = cl.store->Get(*head);
-          SIRI_CHECK(node.ok());
-          auto head_commit = Commit::Decode(**node);
-          SIRI_CHECK(head_commit.ok());
-          std::vector<KV> batch;
-          const BranchContentionConfig defaults;
-          batch.reserve(defaults.upload_kvs);
-          for (size_t k = 0; k < defaults.upload_kvs; ++k) {
-            batch.push_back(
-                KV{BranchContentionKey(t, c, row, k), "v" + std::to_string(c)});
-          }
-          auto next = cl.index->PutBatch(head_commit->root, std::move(batch));
-          SIRI_CHECK(next.ok());
-          net::PublishRequest pub;
-          pub.structure = "pos";
-          pub.branch = branch;
-          pub.new_root = *next;
-          pub.author = "w" + std::to_string(t);
-          pub.message = "c" + std::to_string(c);
-          pub.expected_head = *head;
-          auto landed = cl.transport->Publish(pub);
-          SIRI_CHECK(landed.ok());
-        }
-      });
-    }
-    Timer timer;
-    go.store(true, std::memory_order_release);
-    for (auto& w : workers) w.join();
-    const double secs = timer.ElapsedSeconds();
-
-    uint64_t retries = 0, reconnects = 0, deadline_misses = 0, injected = 0;
-    for (auto& c : clients) {
-      const auto s = c.transport->stats();
-      retries += s.retries;
-      reconnects += s.reconnects;
-      deadline_misses += s.deadline_misses;
-      injected += c.fault->stats().injected;
-    }
-    const uint64_t commits =
-        static_cast<uint64_t>(threads) * commits_per_writer;
+    const int key_row = static_cast<int>(row);
     const double goodput =
-        secs == 0 ? 0 : static_cast<double>(commits) / secs;
+        s.RunPublishLoop(threads, commits_per_writer, key_row);
+    const net::Transport::Stats total = s.TransportTotals();
+    uint64_t injected = 0;
+    for (const auto& f : faults) injected += f->stats().injected;
 
     // Zero lost acked updates, and exactly-once execution: the combiner's
     // executed-publish accounting must equal the acked count — a replayed
     // lost-ack publish that double-applied would push it past.
-    auto head = servlet.branches()->Head(branch);
-    SIRI_CHECK(head.ok());
-    auto head_commit = servlet.branches()->ReadCommit(*head);
-    SIRI_CHECK(head_commit.ok());
-    const BranchContentionConfig defaults;
-    for (int t = 0; t < threads; ++t) {
-      for (int c = 0; c < commits_per_writer; ++c) {
-        for (size_t k = 0; k < defaults.upload_kvs; ++k) {
-          auto got = loaded->Get(head_commit->root,
-                                 BranchContentionKey(t, c, row, k), nullptr);
-          SIRI_CHECK(got.ok() && got->has_value());
-        }
-      }
-    }
-    const uint64_t acked_after = servlet.combiner()->stats().solo_commits +
-                                 servlet.combiner()->stats().combined_commits +
-                                 servlet.combiner()->stats().fallbacks;
-    SIRI_CHECK(acked_after - acked_before == commits);
+    SIRI_CHECK(s.MissingAtHead(threads, commits_per_writer, key_row) == 0);
+    SIRI_CHECK(executed_publishes() - executed_before ==
+               static_cast<uint64_t>(threads) * commits_per_writer);
 
     printf("%10.2f %12.1f %10llu %10llu %12llu %10llu\n", rate, goodput,
-           static_cast<unsigned long long>(retries),
-           static_cast<unsigned long long>(reconnects),
-           static_cast<unsigned long long>(deadline_misses),
+           static_cast<unsigned long long>(total.retries),
+           static_cast<unsigned long long>(total.reconnects),
+           static_cast<unsigned long long>(total.deadline_misses),
            static_cast<unsigned long long>(injected));
     fflush(stdout);
     char line[320];
@@ -1384,18 +1271,15 @@ inline void RunSocketChaosTable(uint64_t n, int threads,
              "#json socket_chaos structure=pos threads=%d transport=socket "
              "fault_rate=%.2f goodput_cps=%.1f retries=%llu reconnects=%llu "
              "deadline_misses=%llu injected=%llu window_us=%llu",
-             threads, rate, goodput, static_cast<unsigned long long>(retries),
-             static_cast<unsigned long long>(reconnects),
-             static_cast<unsigned long long>(deadline_misses),
+             threads, rate, goodput,
+             static_cast<unsigned long long>(total.retries),
+             static_cast<unsigned long long>(total.reconnects),
+             static_cast<unsigned long long>(total.deadline_misses),
              static_cast<unsigned long long>(injected),
              static_cast<unsigned long long>(window_micros));
     machine_lines.emplace_back(line);
-    clients.clear();  // closes the connections before the next row
   }
   for (const std::string& line : machine_lines) printf("%s\n", line.c_str());
-
-  server.Stop();
-  std::remove(store_path.c_str());
 }
 
 /// Read-only degradation under a disk fault: the socket commit pipeline
@@ -1425,112 +1309,25 @@ inline void RunSocketDiskFaultTable(uint64_t n, int threads,
   printf("%10s %12s %14s %16s %12s\n", "acked", "goodput(c/s)",
          "typed_rejects", "degraded_rejects", "lost_acked");
 
-  YcsbGenerator gen(1);
-  auto records = gen.GenerateRecords(n);
-
-  const std::string store_path =
-      "/tmp/siri_bench_diskfault_" + std::to_string(getpid()) + ".log";
-  std::remove(store_path.c_str());
+  // Declared before the scenario: the store must not outlive its Env.
   io::FaultEnv fault_env(io::Env::Default(), io::FaultEnv::Mode::kPassthrough);
-  std::shared_ptr<FileNodeStore> server_store;
-  SIRI_CHECK(FileNodeStore::Open(&fault_env, store_path, &server_store).ok());
-
-  GroupCommitOptions gc;
-  gc.window_micros = window_micros;
-  gc.merge.max_retries = std::numeric_limits<int>::max();
-  ForkbaseServlet servlet(server_store, gc);
-  auto loaded = std::make_unique<PosTree>(server_store);
-  const Hash base_root = LoadRecords(loaded.get(), records);
-  servlet.RegisterIndex(std::make_unique<PosTree>(server_store));
-
-  net::ServerOptions sopts;
-  sopts.group_flush_window_micros = window_micros;
-  net::SiriServer server(&servlet, sopts);
-  SIRI_CHECK(server.Listen(0).ok());
-  SIRI_CHECK(server.Start().ok());
-  const int port = server.port();
-
-  const std::string branch = "pos-diskfault";
-  {
-    auto init =
-        servlet.branches()->CommitOnBranch(branch, base_root, "init", "base");
-    SIRI_CHECK(init.ok());
-  }
-
-  struct DiskFaultClient {
-    std::shared_ptr<net::SocketTransport> transport;
-    std::shared_ptr<ForkbaseClientStore> store;
-    std::unique_ptr<ImmutableIndex> index;
-  };
-  std::vector<DiskFaultClient> clients(threads);
-  auto pack = PackVersions(*loaded, {base_root});
-  SIRI_CHECK(pack.ok());
+  SocketScenario s("diskfault", n, window_micros, MakePosIndex, &fault_env);
+  std::vector<net::SocketTransport::Options> per_client;
   for (int t = 0; t < threads; ++t) {
-    net::SocketTransport::Options topts;
-    topts.rpc_timeout_ms = 10000;
-    topts.retry.max_attempts = 10;
-    topts.retry.backoff_init_ms = 2;
-    topts.retry.backoff_max_ms = 50;
-    topts.retry.jitter_seed = 0xd15cu + static_cast<uint64_t>(t);
-    SIRI_CHECK(net::SocketTransport::Connect("127.0.0.1", port,
-                                             &clients[t].transport, topts)
-                   .ok());
-    clients[t].store =
-        std::make_shared<ForkbaseClientStore>(clients[t].transport, 32 << 20);
-    clients[t].index = loaded->WithStore(clients[t].store);
-    SIRI_CHECK(UnpackVersions(*pack, clients[t].store.get()).ok());
+    per_client.push_back(RetryingOptions(0xd15cu + static_cast<uint64_t>(t)));
   }
+  const std::string branch = "pos-diskfault";
+  s.Connect(0, branch, per_client);
 
   // Phase 1: the healthy publish loop — every commit here must be acked.
-  const int row = 0;
-  std::atomic<bool> go{false};
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      auto& cl = clients[t];
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (int c = 0; c < commits_per_writer; ++c) {
-        auto head = cl.transport->Head(branch);
-        SIRI_CHECK(head.ok());
-        auto node = cl.store->Get(*head);
-        SIRI_CHECK(node.ok());
-        auto head_commit = Commit::Decode(**node);
-        SIRI_CHECK(head_commit.ok());
-        std::vector<KV> batch;
-        const BranchContentionConfig defaults;
-        batch.reserve(defaults.upload_kvs);
-        for (size_t k = 0; k < defaults.upload_kvs; ++k) {
-          batch.push_back(
-              KV{BranchContentionKey(t, c, row, k), "v" + std::to_string(c)});
-        }
-        auto next = cl.index->PutBatch(head_commit->root, std::move(batch));
-        SIRI_CHECK(next.ok());
-        net::PublishRequest pub;
-        pub.structure = "pos";
-        pub.branch = branch;
-        pub.new_root = *next;
-        pub.author = "w" + std::to_string(t);
-        pub.message = "c" + std::to_string(c);
-        pub.expected_head = *head;
-        auto landed = cl.transport->Publish(pub);
-        SIRI_CHECK(landed.ok());
-      }
-    });
-  }
-  Timer timer;
-  go.store(true, std::memory_order_release);
-  for (auto& w : workers) w.join();
-  const double secs = timer.ElapsedSeconds();
+  const double goodput =
+      s.RunPublishLoop(threads, commits_per_writer, /*key_row=*/0);
   const uint64_t acked = static_cast<uint64_t>(threads) * commits_per_writer;
-  const double goodput = secs == 0 ? 0 : static_cast<double>(acked) / secs;
 
   // The trip: from the next mutating op on, the disk is full. The head at
   // this instant is the last acked state — it must never move again.
-  auto acked_head = servlet.branches()->Head(branch);
-  SIRI_CHECK(acked_head.ok());
-  uint64_t retries_at_trip = 0;
-  for (auto& c : clients) retries_at_trip += c.transport->stats().retries;
+  const Hash acked_head = s.Head();
+  const uint64_t retries_at_trip = s.TransportTotals().retries;
   fault_env.set_enospc_after_op(fault_env.op_count());
 
   // Phase 2: every client keeps trying to write against the full disk.
@@ -1545,75 +1342,55 @@ inline void RunSocketDiskFaultTable(uint64_t n, int threads,
   // All of them must surface as the SAME typed degraded reject. Reads
   // interleave and must keep working.
   std::atomic<uint64_t> typed_rejects{0};
-  workers.clear();
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      auto& cl = clients[t];
-      auto expect_degraded = [&](const Status& failure) {
-        SIRI_CHECK(!failure.ok());  // a full disk must never ack
-        SIRI_CHECK(failure.IsResourceExhausted());
-        SIRI_CHECK(net::IsDegradedReject(failure));
-        typed_rejects.fetch_add(1, std::memory_order_relaxed);
-      };
-      for (int a = 0; a < 2; ++a) {
-        auto head = cl.transport->Head(branch);
-        SIRI_CHECK(head.ok());  // reads serve while degraded
-        auto node = cl.store->Get(*head);
-        SIRI_CHECK(node.ok());
-        auto head_commit = Commit::Decode(**node);
-        SIRI_CHECK(head_commit.ok());
+  RunTimedWorkers(threads, [&](int t) {
+    auto& cl = s.clients()[t];
+    auto expect_degraded = [&](const Status& failure) {
+      SIRI_CHECK(!failure.ok());  // a full disk must never ack
+      SIRI_CHECK(failure.IsResourceExhausted());
+      SIRI_CHECK(net::IsDegradedReject(failure));
+      typed_rejects.fetch_add(1, std::memory_order_relaxed);
+    };
+    for (int a = 0; a < 2; ++a) {
+      auto head = cl.transport->Head(branch);
+      SIRI_CHECK(head.ok());  // reads serve while degraded
+      auto node = cl.store->Get(*head);
+      SIRI_CHECK(node.ok());
+      auto head_commit = Commit::Decode(**node);
+      SIRI_CHECK(head_commit.ok());
 
-        net::PublishRequest pub;
-        pub.structure = "pos";
-        pub.branch = branch;
-        pub.new_root = head_commit->root;
-        pub.author = "w" + std::to_string(t);
-        pub.message = "overflow";
-        pub.expected_head = *head;
-        expect_degraded(cl.transport->Publish(pub).status());
+      net::PublishRequest pub;
+      pub.structure = "pos";
+      pub.branch = branch;
+      pub.new_root = head_commit->root;
+      pub.author = "w" + std::to_string(t);
+      pub.message = "overflow";
+      pub.expected_head = *head;
+      expect_degraded(cl.transport->Publish(pub).status());
 
-        // By now this client has seen a degraded reject, so the sticky
-        // latch is set server-side: even a fire-and-forget upload is
-        // answered with the typed reject instead of silently dropped.
-        const std::string payload = "overflow-" + std::to_string(t) + "-" +
-                                    std::to_string(a);
-        NodeBatch batch;
-        batch.push_back(NodeRecord{
-            Sha256::Digest(payload),
-            std::make_shared<const std::string>(payload)});
-        expect_degraded(cl.transport->PutMany(batch));
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
+      // By now this client has seen a degraded reject, so the sticky
+      // latch is set server-side: even a fire-and-forget upload is
+      // answered with the typed reject instead of silently dropped.
+      const std::string payload = "overflow-" + std::to_string(t) + "-" +
+                                  std::to_string(a);
+      NodeBatch batch;
+      batch.push_back(NodeRecord{
+          Sha256::Digest(payload),
+          std::make_shared<const std::string>(payload)});
+      expect_degraded(cl.transport->PutMany(batch));
+    }
+  });
 
   // Degraded rejects fail fast: retrying a full disk cannot help, so the
   // transports' retry counters must not have moved during phase 2.
-  uint64_t retries_after = 0;
-  for (auto& c : clients) retries_after += c.transport->stats().retries;
-  SIRI_CHECK(retries_after == retries_at_trip);
+  SIRI_CHECK(s.TransportTotals().retries == retries_at_trip);
 
   // Zero lost acked commits: the head never moved past the trip point and
   // every phase-1 key is still readable under it, server-side.
-  auto final_head = servlet.branches()->Head(branch);
-  SIRI_CHECK(final_head.ok());
-  SIRI_CHECK(*final_head == *acked_head);
-  auto head_commit = servlet.branches()->ReadCommit(*final_head);
-  SIRI_CHECK(head_commit.ok());
-  uint64_t lost = 0;
-  const BranchContentionConfig defaults;
-  for (int t = 0; t < threads; ++t) {
-    for (int c = 0; c < commits_per_writer; ++c) {
-      for (size_t k = 0; k < defaults.upload_kvs; ++k) {
-        auto got = loaded->Get(head_commit->root,
-                               BranchContentionKey(t, c, row, k), nullptr);
-        if (!got.ok() || !got->has_value()) ++lost;
-      }
-    }
-  }
+  SIRI_CHECK(s.Head() == acked_head);
+  const uint64_t lost = s.MissingAtHead(threads, commits_per_writer, 0);
   SIRI_CHECK(lost == 0);
 
-  const auto st = server.stats();
+  const auto st = s.server().stats();
   SIRI_CHECK(st.degraded);
   SIRI_CHECK(st.degraded_cause.find("enospc") != std::string::npos);
   SIRI_CHECK(st.degraded_rejects >= 1);
@@ -1631,10 +1408,6 @@ inline void RunSocketDiskFaultTable(uint64_t n, int threads,
          static_cast<unsigned long long>(st.degraded_rejects),
          static_cast<unsigned long long>(lost),
          static_cast<unsigned long long>(window_micros));
-
-  clients.clear();
-  server.Stop();
-  std::remove(store_path.c_str());
 }
 
 /// Printf a header line like the paper's figure captions.

@@ -44,24 +44,14 @@ void RunCacheShardSection(const std::vector<int>& thread_counts,
         keys.push_back(h);
       }
 
-      std::atomic<bool> go{false};
-      std::vector<std::thread> workers;
-      for (int t = 0; t < threads; ++t) {
-        workers.emplace_back([&, t] {
-          while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-          for (int i = 0; i < kLookupsPerThread; ++i) {
-            SIRI_CHECK(cache.Lookup(keys[(i + t) % kHotKeys]) != nullptr);
-          }
-        });
-      }
-      Timer timer;
-      go.store(true, std::memory_order_release);
-      for (auto& w : workers) w.join();
-      const double secs = timer.ElapsedSeconds();
-      const double mops =
-          secs == 0 ? 0
-                    : static_cast<double>(kLookupsPerThread) * threads / secs / 1e6;
-      printf(" %12.2f", mops);
+      const double secs = RunTimedWorkers(threads, [&](int t) {
+        for (int i = 0; i < kLookupsPerThread; ++i) {
+          SIRI_CHECK(cache.Lookup(keys[(i + t) % kHotKeys]) != nullptr);
+        }
+      });
+      printf(" %12.2f",
+             Ratio(static_cast<double>(kLookupsPerThread) * threads, secs) /
+                 1e6);
       fflush(stdout);
     }
     printf("\n");
@@ -88,33 +78,24 @@ void RunStoreShardSection(const std::vector<int>& thread_counts,
     printf("%8d", threads);
     for (int shards : {1, InMemoryNodeStore::kDefaultShards}) {
       auto store = NewInMemoryNodeStore(shards);
-      std::atomic<bool> go{false};
-      std::vector<std::thread> workers;
-      for (int t = 0; t < threads; ++t) {
-        workers.emplace_back([&, t] {
-          while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-          for (int b = 0; b < kBatchesPerThread; ++b) {
-            StagingNodeStore staging(store.get());
-            for (int i = 0; i < kBatchNodes; ++i) {
-              std::string node(192, 'a' + (i % 26));
-              node += std::to_string(t * 1000000 + b * 1000 + i);
-              // Fire-and-forget staging: the bench measures batched write
-              // throughput, the digests are never re-read.
-              (void)staging.Put(node);
-            }
-            staging.FlushBatch();
+      const double secs = RunTimedWorkers(threads, [&](int t) {
+        for (int b = 0; b < kBatchesPerThread; ++b) {
+          StagingNodeStore staging(store.get());
+          for (int i = 0; i < kBatchNodes; ++i) {
+            std::string node(192, 'a' + (i % 26));
+            node += std::to_string(t * 1000000 + b * 1000 + i);
+            // Fire-and-forget staging: the bench measures batched write
+            // throughput, the digests are never re-read.
+            (void)staging.Put(node);
           }
-        });
-      }
-      Timer timer;
-      go.store(true, std::memory_order_release);
-      for (auto& w : workers) w.join();
-      const double secs = timer.ElapsedSeconds();
-      const double knodes =
-          secs == 0 ? 0
-                    : static_cast<double>(kBatchesPerThread) * kBatchNodes *
-                          threads / secs / 1e3;
-      printf(" %12.1f", knodes);
+          staging.FlushBatch();
+        }
+      });
+      printf(" %12.1f",
+             Ratio(static_cast<double>(kBatchesPerThread) * kBatchNodes *
+                       threads,
+                   secs) /
+                 1e3);
       fflush(stdout);
     }
     printf("\n");
@@ -145,10 +126,7 @@ void RunWriteScalingSection(uint64_t scale,
   auto server_store = NewInMemoryNodeStore();
   siri::ForkbaseServlet servlet(server_store);
   auto indexes = MakeAllIndexes(server_store, smoke ? 1024 : 8192);
-  std::vector<Hash> roots;
-  for (auto& [name, index] : indexes) {
-    roots.push_back(LoadRecords(index.get(), records));
-  }
+  const std::vector<Hash> roots = LoadAll(indexes, records);
 
   for (int threads : thread_counts) {
     printf("%8d", threads);
@@ -205,66 +183,6 @@ void RunGroupCommitSection(uint64_t scale,
                       /*window_micros=*/500);
 }
 
-// Socket transport: the same group-commit regime through the REAL
-// boundary — loopback TCP to an in-process siri-server over a file-backed
-// store. Reported per cell: measured commits/s, bytes/RPC, syscalls per
-// commit, and real commits-per-fsync. These are a different quantity from
-// the slept-RTT in-process numbers and are labeled as such.
-void RunSocketCommitSection(uint64_t scale,
-                            const std::vector<int>& thread_counts,
-                            bool smoke = false) {
-  RunSocketCommitTable((smoke ? 500 : 4000) * scale,
-                       /*mbt_buckets=*/smoke ? 256 : 2048, thread_counts,
-                       /*commits_per_writer=*/smoke ? 3 : 24,
-                       /*window_micros=*/500);
-}
-
-// Pipelined wire boundary: K writers sharing ONE connection, swept over
-// the pipelining depth (depth 1 = the serialized baseline) plus a
-// cache-push row at the deepest depth. The acceptance read: depth >= 4
-// shows higher commits/s and strictly lower syscalls/commit than depth 1.
-void RunSocketPipelineSection(uint64_t scale,
-                              const std::vector<int>& write_threads,
-                              bool smoke = false) {
-  const int threads = write_threads.empty() ? 8 : write_threads.back();
-  const std::vector<int> depths =
-      smoke ? std::vector<int>{1, 8} : std::vector<int>{1, 4, 8};
-  RunSocketPipelineTable((smoke ? 500 : 4000) * scale, threads,
-                         /*commits_per_writer=*/smoke ? 3 : 16, depths,
-                         /*window_micros=*/500);
-}
-
-// Chaos goodput: the socket commit pipeline re-run under client-side
-// fault injection at a swept rate. Acked-commit goodput per rate next to
-// the retry/reconnect/deadline counters that flag how it was earned; the
-// run aborts on any lost or duplicated acked commit.
-void RunSocketChaosSection(uint64_t scale,
-                           const std::vector<int>& write_threads,
-                           bool smoke = false) {
-  const int threads = write_threads.empty() ? 4 : write_threads.back();
-  const std::vector<double> rates =
-      smoke ? std::vector<double>{0.0, 0.05}
-            : std::vector<double>{0.0, 0.02, 0.05, 0.10};
-  RunSocketChaosTable((smoke ? 500 : 4000) * scale, threads,
-                      /*commits_per_writer=*/smoke ? 3 : 16, rates,
-                      /*window_micros=*/500);
-}
-
-// Disk-fault degradation: the socket commit pipeline with the server's
-// file-backed store on an io::FaultEnv. Half-way marker semantics: a
-// healthy publish phase, then ENOSPC on every further write op. The
-// acceptance read: every post-trip write fails with the typed degraded
-// reject (no retry burn), reads keep serving, and zero acked commits are
-// lost — the run aborts otherwise.
-void RunSocketDiskFaultSection(uint64_t scale,
-                               const std::vector<int>& write_threads,
-                               bool smoke = false) {
-  const int threads = write_threads.empty() ? 4 : write_threads.back();
-  RunSocketDiskFaultTable((smoke ? 500 : 4000) * scale, threads,
-                          /*commits_per_writer=*/smoke ? 3 : 16,
-                          /*window_micros=*/500);
-}
-
 // Multi-client read scaling: K client threads, each with its own cache,
 // reading through one servlet. Reported per structure: aggregate kops/s
 // and mean cache hit ratio at each thread count.
@@ -286,10 +204,7 @@ void RunThreadedSection(uint64_t scale, const std::vector<int>& thread_counts,
   auto server_store = NewInMemoryNodeStore();
   siri::ForkbaseServlet servlet(server_store);
   auto indexes = MakeAllIndexes(server_store);
-  std::vector<Hash> roots;
-  for (auto& [name, index] : indexes) {
-    roots.push_back(LoadRecords(index.get(), records));
-  }
+  const std::vector<Hash> roots = LoadAll(indexes, records);
 
   for (int threads : thread_counts) {
     printf("%8d", threads);
@@ -316,10 +231,8 @@ int main(int argc, char** argv) {
   const bool branch_commits_only = HasFlag(argc, argv, "--branch-commits-only");
   const bool group_commit_only = HasFlag(argc, argv, "--group-commit-only");
   const bool smoke = HasFlag(argc, argv, "--smoke");
-  const bool chaos = HasFlag(argc, argv, "--chaos");
-  const bool pipeline = HasFlag(argc, argv, "--pipeline");
   const std::string transport = ParseTransportFlag(argc, argv);
-  const std::string disk_fault = ParseDiskFaultFlag(argc, argv);
+  const std::string socket_table = ParseSocketTable(argc, argv);
   std::vector<uint64_t> sizes;
   for (uint64_t n : {10000, 20000, 40000, 80000}) sizes.push_back(n * scale);
   const uint64_t num_ops = 3000;
@@ -332,36 +245,47 @@ int main(int argc, char** argv) {
     // The socket boundary is its own measurement regime (real loopback
     // TCP, real fsyncs): it runs alone so its numbers can never be read
     // as one series with the slept-RTT in-process sections.
-    if (disk_fault == "enospc") {
-      RunSocketDiskFaultSection(scale, write_threads, smoke);
-    } else if (chaos) {
-      RunSocketChaosSection(scale, write_threads, smoke);
-    } else if (pipeline) {
-      RunSocketPipelineSection(scale, write_threads, smoke);
+    const uint64_t n = (smoke ? 500 : 4000) * scale;
+    const int writers = write_threads.back();
+    const int commits_per_writer = smoke ? 3 : 16;
+    const uint64_t window_micros = 500;
+    if (socket_table == "disk-fault") {
+      // A healthy publish phase, then ENOSPC on every further write op:
+      // every post-trip write must fail with the typed degraded reject
+      // (no retry burn), reads keep serving, and zero acked commits are
+      // lost — the run aborts otherwise.
+      RunSocketDiskFaultTable(n, writers, commits_per_writer, window_micros);
+    } else if (socket_table == "chaos") {
+      // Acked-commit goodput under client-side fault injection at a swept
+      // rate; the run aborts on any lost or duplicated acked commit.
+      RunSocketChaosTable(n, writers, commits_per_writer,
+                          smoke ? std::vector<double>{0.0, 0.05}
+                                : std::vector<double>{0.0, 0.02, 0.05, 0.10},
+                          window_micros);
+    } else if (socket_table == "pipeline") {
+      // Writers sharing ONE connection, swept over the pipelining depth
+      // (depth 1 = the serialized baseline) plus a cache-push row at the
+      // deepest depth. The acceptance read: depth >= 4 shows higher
+      // commits/s and strictly lower syscalls/commit than depth 1.
+      RunSocketPipelineTable(n, writers, commits_per_writer,
+                             smoke ? std::vector<int>{1, 8}
+                                   : std::vector<int>{1, 4, 8},
+                             window_micros);
     } else {
-      RunSocketCommitSection(scale, write_threads, smoke);
+      // The group-commit regime per structure: measured commits/s,
+      // bytes/RPC, syscalls per commit, and real commits-per-fsync.
+      RunSocketCommitTable(n, /*mbt_buckets=*/smoke ? 256 : 2048,
+                           write_threads,
+                           /*commits_per_writer=*/smoke ? 3 : 24,
+                           window_micros);
     }
     return 0;
   }
-  if (disk_fault != "none") {
+  if (socket_table != "commit") {
     fprintf(stderr,
-            "%s: --disk-fault requires --transport=socket (degradation is "
-            "asserted through the real wire)\n",
-            argv[0]);
-    return 2;
-  }
-  if (chaos) {
-    fprintf(stderr,
-            "%s: --chaos requires --transport=socket (faults are injected "
-            "into the real wire)\n",
-            argv[0]);
-    return 2;
-  }
-  if (pipeline) {
-    fprintf(stderr,
-            "%s: --pipeline requires --transport=socket (depth only exists "
-            "on the real wire)\n",
-            argv[0]);
+            "%s: --%s requires --transport=socket (it measures the real "
+            "wire)\n",
+            argv[0], socket_table.c_str());
     return 2;
   }
 

@@ -94,10 +94,7 @@ int main(int argc, char** argv) {
     auto server_store = NewInMemoryNodeStore();
     ForkbaseServlet servlet(server_store);
     auto indexes = MakeAllIndexes(server_store);
-    std::vector<Hash> roots;
-    for (auto& [name, index] : indexes) {
-      roots.push_back(LoadRecords(index.get(), records));
-    }
+    const std::vector<Hash> roots = LoadAll(indexes, records);
 
     for (int threads : thread_counts) {
       printf("%8d", threads);
@@ -137,10 +134,7 @@ int main(int argc, char** argv) {
     auto server_store = NewInMemoryNodeStore();
     ForkbaseServlet servlet(server_store);
     auto indexes = MakeAllIndexes(server_store);
-    std::vector<Hash> roots;
-    for (auto& [name, index] : indexes) {
-      roots.push_back(LoadRecords(index.get(), records));
-    }
+    const std::vector<Hash> roots = LoadAll(indexes, records);
 
     for (int threads : write_threads) {
       printf("%8d", threads);

@@ -40,7 +40,8 @@ Status DecodeMbtInternal(Slice node, std::vector<Hash>* children) {
   node.remove_prefix(1);
   uint64_t n = 0;
   if (!GetVarint64(&node, &n)) return Status::Corruption("bad MBT count");
-  if (node.size() != n * Hash::kSize) {
+  // Divide, never multiply: n * 32 wraps for a lying n >= 2^59.
+  if (n != node.size() / Hash::kSize || node.size() % Hash::kSize != 0) {
     return Status::Corruption("bad MBT internal size");
   }
   children->clear();

@@ -6,6 +6,18 @@
 
 namespace siri {
 
+namespace {
+
+// The fewest bytes one encoded entry can take: a leaf entry is two
+// length prefixes (one byte each at least), an internal entry a length
+// prefix and a child digest. A page claiming more entries than its body
+// could hold is corrupt; rejecting it before reserve() keeps a lying
+// count from asking for terabytes.
+constexpr uint64_t kMinLeafEntryBytes = 2;
+constexpr uint64_t kMinInternalEntryBytes = 1 + Hash::kSize;
+
+}  // namespace
+
 void AppendLeafEntryBytes(std::string* out, Slice key, Slice value) {
   PutLengthPrefixed(out, key);
   PutLengthPrefixed(out, value);
@@ -64,6 +76,9 @@ Status DecodeLeaf(Slice node, std::vector<KV>* entries) {
   if (!GetVarint64(&node, &salt)) return Status::Corruption("bad leaf salt");
   uint64_t n = 0;
   if (!GetVarint64(&node, &n)) return Status::Corruption("bad leaf count");
+  if (n > node.size() / kMinLeafEntryBytes) {
+    return Status::Corruption("leaf count exceeds page");
+  }
   entries->clear();
   entries->reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -89,6 +104,9 @@ Status DecodeInternal(Slice node, std::vector<ChildEntry>* entries) {
   }
   uint64_t n = 0;
   if (!GetVarint64(&node, &n)) return Status::Corruption("bad internal count");
+  if (n > node.size() / kMinInternalEntryBytes) {
+    return Status::Corruption("internal count exceeds page");
+  }
   entries->clear();
   entries->reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -158,6 +176,9 @@ Status DecodeLeafViews(Slice node, std::vector<LeafView>* entries) {
   if (!GetVarint64(&node, &salt) || !GetVarint64(&node, &n)) {
     return Status::Corruption("bad leaf header");
   }
+  if (n > node.size() / kMinLeafEntryBytes) {
+    return Status::Corruption("leaf count exceeds page");
+  }
   entries->clear();
   entries->reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -180,6 +201,9 @@ Status DecodeInternalViews(Slice node, std::vector<ChildView>* entries) {
   uint64_t salt = 0, n = 0;
   if (!GetVarint64(&node, &salt) || !GetVarint64(&node, &n)) {
     return Status::Corruption("bad internal header");
+  }
+  if (n > node.size() / kMinInternalEntryBytes) {
+    return Status::Corruption("internal count exceeds page");
   }
   entries->clear();
   entries->reserve(n);

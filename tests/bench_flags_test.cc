@@ -40,7 +40,8 @@ TEST(BenchFlagsTest, NoArgumentsIsClean) {
 TEST(BenchFlagsTest, EveryKnownFlagIsAccepted) {
   Argv a({"--scale=8", "--threads=1,2,4", "--write-threads=2", "--help",
           "--threads-only", "--write-scaling-only", "--branch-commits-only",
-          "--group-commit-only", "--smoke", "--transport=socket"});
+          "--group-commit-only", "--smoke", "--transport=socket", "--chaos",
+          "--pipeline", "--disk-fault=enospc"});
   EXPECT_EQ(FirstUnknownFlag(a.argc(), a.argv()), nullptr);
 }
 
@@ -62,6 +63,45 @@ TEST(BenchFlagsDeathTest, ParseTransportFlagRejectsUnknownValue) {
   Argv a({"--transport=sockte"});
   EXPECT_EXIT(ParseTransportFlag(a.argc(), a.argv()),
               ::testing::ExitedWithCode(2), "--transport must be");
+}
+
+TEST(BenchFlagsTest, ParseDiskFaultFlagDefaultsToNone) {
+  Argv a({"--transport=socket"});
+  EXPECT_EQ(ParseDiskFaultFlag(a.argc(), a.argv()), "none");
+  Argv enospc({"--disk-fault=enospc"});
+  EXPECT_EQ(ParseDiskFaultFlag(enospc.argc(), enospc.argv()), "enospc");
+}
+
+TEST(BenchFlagsDeathTest, ParseDiskFaultFlagRejectsUnknownValue) {
+  // A misspelled fault kind must abort, not run the healthy benchmark and
+  // report it as a fault run.
+  Argv a({"--disk-fault=enospec"});
+  EXPECT_EXIT(ParseDiskFaultFlag(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2), "--disk-fault must be");
+}
+
+TEST(BenchFlagsTest, ParseSocketTablePicksTheNamedTable) {
+  Argv none({"--transport=socket"});
+  EXPECT_EQ(ParseSocketTable(none.argc(), none.argv()), "commit");
+  Argv chaos({"--chaos"});
+  EXPECT_EQ(ParseSocketTable(chaos.argc(), chaos.argv()), "chaos");
+  Argv pipeline({"--pipeline"});
+  EXPECT_EQ(ParseSocketTable(pipeline.argc(), pipeline.argv()), "pipeline");
+  Argv disk({"--disk-fault=enospc"});
+  EXPECT_EQ(ParseSocketTable(disk.argc(), disk.argv()), "disk-fault");
+}
+
+TEST(BenchFlagsDeathTest, ParseSocketTableRejectsTwoTables) {
+  // Each socket table is its own run: two of them must abort, not
+  // silently run only one.
+  Argv a({"--transport=socket", "--chaos", "--pipeline"});
+  EXPECT_EXIT(ParseSocketTable(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2),
+              "--chaos and --pipeline select different socket tables");
+  Argv b({"--disk-fault=enospc", "--chaos"});
+  EXPECT_EXIT(ParseSocketTable(b.argc(), b.argv()),
+              ::testing::ExitedWithCode(2),
+              "--disk-fault and --chaos select different socket tables");
 }
 
 TEST(BenchFlagsTest, ReturnsTheFirstUnknownFlag) {

@@ -8,8 +8,10 @@
 #include "common/random.h"
 #include "common/varint.h"
 #include "crypto/sha256.h"
+#include "index/mbt/mbt.h"
 #include "index/mpt/nibbles.h"
 #include "index/ordered/node_codec.h"
+#include "store/node_store.h"
 
 namespace siri {
 namespace {
@@ -70,12 +72,60 @@ TEST(NodeCodecTest, DecodeRejectsWrongTag) {
   EXPECT_TRUE(DecodeInternal(EncodeLeaf({}), &int_back).IsCorruption());
 }
 
+// A node page whose header claims \p count entries over \p body.
+std::string PageClaiming(char tag, uint64_t count, const std::string& body) {
+  std::string page(1, tag);
+  PutVarint64(&page, /*salt=*/0);
+  PutVarint64(&page, count);
+  return page + body;
+}
+
 TEST(NodeCodecTest, DecodeRejectsTruncation) {
   std::vector<KV> entries = {{"key", "value"}};
   std::string node = EncodeLeaf(entries);
   node.resize(node.size() - 2);
   std::vector<KV> back;
   EXPECT_TRUE(DecodeLeaf(node, &back).IsCorruption());
+
+  // A lying entry count: more entries than the body could hold (a leaf
+  // entry takes >= 2 bytes, an internal one >= 33) is Corruption, never
+  // a huge reserve() that throws.
+  const std::string body(66, '\0');
+  for (uint64_t count : {uint64_t{1} << 62, ~uint64_t{0}, uint64_t{34}}) {
+    SCOPED_TRACE(count);
+    const std::string leaf = PageClaiming(kLeafTag, count, body);
+    std::vector<LeafView> leaf_views;
+    EXPECT_TRUE(DecodeLeaf(leaf, &back).IsCorruption());
+    EXPECT_TRUE(DecodeLeafViews(leaf, &leaf_views).IsCorruption());
+    const std::string internal = PageClaiming(kInternalTag, count, body);
+    std::vector<ChildEntry> children;
+    std::vector<ChildView> child_views;
+    EXPECT_TRUE(DecodeInternal(internal, &children).IsCorruption());
+    EXPECT_TRUE(DecodeInternalViews(internal, &child_views).IsCorruption());
+  }
+  // The most entries a body can hold still decode: 33 empty leaf entries
+  // and 2 internal entries with empty keys and zero digests.
+  const std::string internal_body(2 * (1 + Hash::kSize), '\0');
+  std::vector<ChildEntry> children;
+  ASSERT_TRUE(DecodeLeaf(PageClaiming(kLeafTag, 33, body), &back).ok());
+  EXPECT_EQ(back.size(), 33u);
+  ASSERT_TRUE(
+      DecodeInternal(PageClaiming(kInternalTag, 2, internal_body), &children)
+          .ok());
+  EXPECT_EQ(children.size(), 2u);
+}
+
+TEST(NodeCodecTest, MbtGetRejectsLyingChildCount) {
+  // An MBT internal page is 'B' | varint n | n * 32-byte digests. With
+  // n = 2^59, n * 32 wraps to 0, so an empty body must not pass as n
+  // children.
+  auto store = NewInMemoryNodeStore();
+  Mbt mbt(store);
+  std::string page(1, 'B');
+  PutVarint64(&page, uint64_t{1} << 59);
+  const Hash root = store->Put(page);
+  auto got = mbt.Get(root, "key", nullptr);
+  EXPECT_TRUE(got.status().IsCorruption());
 }
 
 TEST(NodeCodecTest, DecodeRejectsTrailingGarbage) {
