@@ -12,6 +12,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -112,22 +115,34 @@ inline uint64_t ParseScale(int argc, char** argv) {
 }
 
 /// Parses a K[,K...] thread-count list from \p flag (e.g. "--threads=").
-/// Default: the paper-style 1/2/4/8 sweep.
+/// Default: the paper-style 1/2/4/8 sweep. Every element must be a
+/// positive decimal count that fits an int; anything else exits 2, like
+/// --transport: a typo'd count must not run a different sweep under the
+/// intended label.
 inline std::vector<int> ParseThreadList(int argc, char** argv,
                                         const char* flag) {
   const size_t flag_len = strlen(flag);
   std::vector<int> counts;
   for (int i = 1; i < argc; ++i) {
-    if (strncmp(argv[i], flag, flag_len) == 0) {
-      counts.clear();
-      const char* p = argv[i] + flag_len;
-      while (*p) {
-        char* end = nullptr;
-        const long v = strtol(p, &end, 10);
-        if (end == p) break;
-        if (v > 0) counts.push_back(static_cast<int>(v));
-        p = (*end == ',') ? end + 1 : end;
+    if (strncmp(argv[i], flag, flag_len) != 0) continue;
+    counts.clear();
+    const char* p = argv[i] + flag_len;
+    for (;;) {
+      // strtol alone would accept a sign or leading blanks; a count starts
+      // with a digit.
+      char* end = const_cast<char*>(p);
+      errno = 0;
+      const long v =
+          isdigit(static_cast<unsigned char>(*p)) ? strtol(p, &end, 10) : 0;
+      if (v <= 0 || v > INT_MAX || errno == ERANGE ||
+          (*end != ',' && *end != '\0')) {
+        fprintf(stderr, "%s: %s wants positive counts K[,K...], got '%s'\n",
+                argv[0], flag, argv[i] + flag_len);
+        exit(2);
       }
+      counts.push_back(static_cast<int>(v));
+      if (*end == '\0') break;
+      p = end + 1;
     }
   }
   if (counts.empty()) counts = {1, 2, 4, 8};

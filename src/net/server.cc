@@ -47,6 +47,24 @@ Status BadFrame(const Status& s) {
   return Status::Corruption(std::string(kBadFramePrefix) + s.message());
 }
 
+// epoll_event.data.u64 tags of the two fds that are not connections
+// (SiriServer::next_conn_id_ starts above them).
+constexpr uint64_t kListenId = 0;
+constexpr uint64_t kWakeId = 1;
+
+// How often an idle sweep falls due, and so the longest a worker sleeps
+// in epoll_wait before it checks for one.
+constexpr int kTickMs = 100;
+
+// One-shot arming, for connections and the listen socket alike: after an
+// event is delivered the fd stays silent until its worker re-arms it.
+epoll_event OneShot(uint64_t id) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
+  ev.data.u64 = id;
+  return ev;
+}
+
 // writev gather width per call. IOV_MAX is at least 1024 everywhere we
 // run, but a modest cap keeps the stack iovec array small; the flush
 // loop simply issues another writev for the remainder.
@@ -90,8 +108,8 @@ Status SiriServer::AdoptListener(int listen_fd) {
     return Errno("getsockname");
   }
   // The accept loop drains the backlog until EAGAIN; a blocking listen
-  // socket (which an adopted pre-bound fd usually is) would wedge the
-  // event loop on the accept after the last queued connection.
+  // socket (which an adopted pre-bound fd usually is) would wedge a
+  // worker on the accept after the last queued connection.
   const int fl = fcntl(listen_fd, F_GETFL, 0);
   if (fl < 0 || fcntl(listen_fd, F_SETFL, fl | O_NONBLOCK) != 0) {
     return Errno("fcntl(O_NONBLOCK)");
@@ -118,21 +136,21 @@ Status SiriServer::Start() {
   wake_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   if (wake_fd_ < 0) return Errno("eventfd");
 
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
+  // The listen socket is one-shot like a connection: one worker at a time
+  // drains the accept queue. The wake eventfd is level-triggered and never
+  // read: once Stop writes it, every epoll_wait returns at once.
+  epoll_event ev = OneShot(kListenId);
   if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
     return Errno("epoll_ctl(listen)");
   }
   ev.events = EPOLLIN;
-  ev.data.fd = wake_fd_;
+  ev.data.u64 = kWakeId;
   if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
     return Errno("epoll_ctl(wake)");
   }
 
   started_ = true;
   running_.store(true, std::memory_order_release);
-  loop_thread_ = std::thread([this] { EventLoop(); });
   const int workers = opts_.worker_threads < 1 ? 1 : opts_.worker_threads;
   workers_.reserve(workers);
   for (int i = 0; i < workers; ++i) {
@@ -145,24 +163,18 @@ void SiriServer::Stop() {
   if (!started_) return;
   if (running_.exchange(false, std::memory_order_acq_rel)) {
     const uint64_t one = 1;
-    // Best-effort: the loop also wakes on its 500ms epoll timeout.
+    // Best-effort: a worker also wakes on its epoll tick timeout.
     (void)!write(wake_fd_, &one, sizeof(one));
   }
-  if (loop_thread_.joinable()) loop_thread_.join();
-  {
-    MutexLock lock(mu_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
+  // A worker serving a connection finishes it first, then sees running_.
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
   workers_.clear();
   {
     MutexLock lock(mu_);
-    for (auto& [fd, conn] : conns_) close(fd);
+    for (auto& [id, conn] : conns_) close(conn->fd);
     conns_.clear();
-    ready_.clear();
   }
   if (epoll_fd_ >= 0) close(epoll_fd_);
   if (wake_fd_ >= 0) close(wake_fd_);
@@ -175,18 +187,18 @@ SiriServer::DrainSummary SiriServer::Drain() {
   DrainSummary out;
   if (!started_) return out;
   const uint64_t requests_before = requests_.load(std::memory_order_relaxed);
+  // Stop accepting. A worker draining the accept queue right now re-arms
+  // into ENOENT, and closes what it accepts: draining_ is set below.
+  (void)epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
   {
+    // Close every connection no worker is serving. A worker closes the one
+    // it serves once the response flushes — it checks draining_ under mu_
+    // before re-arming — so no connection outlives this wait, and the
+    // last close signals drain_cv_.
     MutexLock lock(mu_);
     out.connections_closed = conns_.size();
-  }
-  draining_.store(true, std::memory_order_release);
-  const uint64_t one = 1;
-  (void)!write(wake_fd_, &one, sizeof(one));
-  {
-    // The event loop sweeps idle connections each tick; workers close
-    // their in-flight ones after the response flushes. Both paths signal
-    // drain_cv_ when the table empties.
-    MutexLock lock(mu_);
+    draining_ = true;
+    SweepConnections(/*idle_only=*/false);
     while (!conns_.empty()) drain_cv_.wait(lock.native());
   }
   // Quiesced. Push everything acked to its durability point before the
@@ -225,137 +237,100 @@ size_t SiriServer::ActiveConnections() const {
 }
 
 void SiriServer::SweepConnections(bool idle_only) {
-  // Runs only on the event-loop thread: it is the sole setter of `busy`,
-  // so a connection observed un-busy here cannot become busy while we
-  // hold mu_ and close it.
+  // Safe from any thread: a worker claims a connection (sets busy) under
+  // mu_, so a connection seen un-busy here stays unclaimed while it is
+  // closed. A worker that already received its event finds the id gone.
   const int64_t now = NowMs();
-  MutexLock lock(mu_);
-  std::vector<int> doomed;
-  for (auto& [fd, conn] : conns_) {
-    if (conn->busy.load(std::memory_order_acquire)) continue;
-    if (idle_only) {
-      const int64_t idle =
-          now - conn->last_activity_ms.load(std::memory_order_relaxed);
-      if (idle < opts_.idle_timeout_ms) continue;
-      idle_reaped_.fetch_add(1, std::memory_order_relaxed);
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    const Connection& conn = *it->second;
+    if (conn.busy ||
+        (idle_only && now - conn.last_activity_ms < opts_.idle_timeout_ms)) {
+      ++it;
+      continue;
     }
-    doomed.push_back(fd);
-  }
-  for (int fd : doomed) {
-    close(fd);  // also removes the fd from the epoll set
-    conns_.erase(fd);
+    if (idle_only) idle_reaped_.fetch_add(1, std::memory_order_relaxed);
+    close(conn.fd);  // also removes the fd from the epoll set
+    it = conns_.erase(it);
   }
   if (conns_.empty()) drain_cv_.notify_all();
 }
 
-void SiriServer::EventLoop() {
-  epoll_event events[64];
-  bool accepting = true;
+void SiriServer::WorkerLoop() {
   while (running_.load(std::memory_order_acquire)) {
-    const int n = epoll_wait(epoll_fd_, events, 64, /*timeout_ms=*/500);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;  // epoll fd gone: shutting down
+    epoll_event ev{};
+    const int n = epoll_wait(epoll_fd_, &ev, 1, kTickMs);
+    if (n < 0 && errno != EINTR) return;  // epoll fd gone: shutting down
+    if (n == 1 && ev.data.u64 == kListenId) {
+      AcceptAll();
+    } else if (n == 1 && ev.data.u64 != kWakeId) {
+      Serve(ev.data.u64);
     }
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == wake_fd_) {
-        uint64_t drain = 0;
-        (void)!read(wake_fd_, &drain, sizeof(drain));
-        continue;
-      }
-      if (fd == listen_fd_) {
-        if (!accepting) continue;
-        for (;;) {
-          const int conn_fd = accept4(listen_fd_, nullptr, nullptr,
-                                      SOCK_NONBLOCK | SOCK_CLOEXEC);
-          if (conn_fd < 0) break;  // EAGAIN: drained the backlog
-          const int one = 1;
-          (void)setsockopt(conn_fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                           sizeof(one));
-          epoll_event cev{};
-          // One-shot: the fd stays silent while a worker owns it; the
-          // worker re-arms after processing.
-          cev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
-          cev.data.fd = conn_fd;
-          {
-            MutexLock lock(mu_);
-            conns_[conn_fd] = std::make_unique<Connection>(
-                conn_fd, opts_.max_frame_bytes, NowMs());
-          }
-          if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn_fd, &cev) != 0) {
-            CloseConnection(conn_fd);
-            continue;
-          }
-          connections_.fetch_add(1, std::memory_order_relaxed);
-        }
-        continue;
-      }
-      // A connection is ready: hand it to a worker. It is busy from this
-      // moment until that worker re-arms it.
-      {
-        MutexLock lock(mu_);
-        auto it = conns_.find(fd);
-        if (it == conns_.end()) continue;  // reaped while queued in epoll
-        it->second->busy.store(true, std::memory_order_release);
-        ready_.push_back(fd);
-      }
-      work_cv_.notify_one();
-    }
-    // Periodic tick work, piggybacked on the 500ms epoll timeout (or any
-    // event): reap idle connections, and during a drain stop accepting
-    // and close everything no worker owns.
-    if (draining_.load(std::memory_order_acquire)) {
-      if (accepting) {
-        (void)epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-        accepting = false;
-      }
-      SweepConnections(/*idle_only=*/false);
-    } else if (opts_.idle_timeout_ms > 0) {
+    if (opts_.idle_timeout_ms <= 0) continue;
+    // The idle sweep, run by whichever worker advances the tick.
+    const int64_t now = NowMs();
+    int64_t due = next_sweep_ms_.load(std::memory_order_relaxed);
+    if (now >= due &&
+        next_sweep_ms_.compare_exchange_strong(due, now + kTickMs)) {
+      MutexLock lock(mu_);
       SweepConnections(/*idle_only=*/true);
     }
   }
 }
 
-void SiriServer::WorkerLoop() {
+void SiriServer::AcceptAll() {
   for (;;) {
-    Connection* conn = nullptr;
-    {
-      MutexLock lock(mu_);
-      while (ready_.empty() && !stopping_) work_cv_.wait(lock.native());
-      if (ready_.empty()) return;  // stopping, queue drained
-      const int fd = ready_.front();
-      ready_.pop_front();
-      auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;  // closed while queued
-      conn = it->second.get();
+    const int fd =
+        accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) break;  // EAGAIN: drained the backlog
+    const int one = 1;
+    (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    // Registered under mu_: a worker that receives the new connection's
+    // first event looks it up under the same lock.
+    MutexLock lock(mu_);
+    const uint64_t id = next_conn_id_;
+    epoll_event ev = OneShot(id);
+    if (draining_ || epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      close(fd);
+      continue;
     }
-    // The connection is exclusively this worker's until it is re-armed or
-    // closed (EPOLLONESHOT keeps the event loop from re-queuing it, and
-    // busy keeps the sweeps away).
-    bool keep = ProcessConnection(conn);
-    // A drain closes the connection once its in-flight work is answered.
-    if (keep && draining_.load(std::memory_order_acquire)) keep = false;
-    if (keep) {
-      conn->last_activity_ms.store(NowMs(), std::memory_order_relaxed);
-      // Clear busy and re-arm under the lock: the sweep must never see an
-      // un-busy connection in the gap before the fd is back in epoll.
-      MutexLock lock(mu_);
-      epoll_event ev{};
-      ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
-      ev.data.fd = conn->fd;
-      if (epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev) != 0) {
-        const int fd = conn->fd;
-        close(fd);
-        conns_.erase(fd);
-        if (conns_.empty()) drain_cv_.notify_all();
-      } else {
-        conn->busy.store(false, std::memory_order_release);
-      }
-    } else {
-      CloseConnection(conn->fd);
+    ++next_conn_id_;
+    conns_[id] =
+        std::make_unique<Connection>(fd, opts_.max_frame_bytes, NowMs());
+    connections_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Fails with ENOENT once a drain removed the listen socket: stays off.
+  epoll_event ev = OneShot(kListenId);
+  (void)epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &ev);
+}
+
+void SiriServer::Serve(uint64_t id) {
+  Connection* conn = nullptr;
+  {
+    MutexLock lock(mu_);
+    auto it = conns_.find(id);
+    if (it == conns_.end()) return;  // closed after its event fired
+    conn = it->second.get();
+    conn->busy = true;
+  }
+  // The connection is exclusively this worker's until it is re-armed or
+  // closed: EPOLLONESHOT keeps its next event back, and busy keeps the
+  // sweeps away.
+  const bool keep = ProcessConnection(conn);
+  MutexLock lock(mu_);
+  // A drain closes the connection once its in-flight work is answered.
+  if (keep && !draining_) {
+    // Clear busy and re-arm under the lock: the sweep must never see an
+    // un-busy connection in the gap before the fd is back in epoll.
+    conn->last_activity_ms = NowMs();
+    epoll_event ev = OneShot(id);
+    if (epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev) == 0) {
+      conn->busy = false;
+      return;
     }
   }
+  close(conn->fd);
+  conns_.erase(id);
+  if (conns_.empty()) drain_cv_.notify_all();
 }
 
 bool SiriServer::ProcessConnection(Connection* conn) {
@@ -718,15 +693,6 @@ bool SiriServer::FlushOutbox(Connection* conn,
   }
   outbox->clear();
   return true;
-}
-
-void SiriServer::CloseConnection(int fd) {
-  MutexLock lock(mu_);
-  auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
-  close(fd);
-  conns_.erase(it);
-  if (conns_.empty()) drain_cv_.notify_all();
 }
 
 }  // namespace net

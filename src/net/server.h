@@ -1,23 +1,28 @@
 // Copyright (c) 2026 The siri Authors. MIT license.
 //
-// SiriServer — the epoll event loop that puts a ForkbaseServlet behind a
+// SiriServer — the epoll server that puts a ForkbaseServlet behind a
 // real socket. K client *processes* connect over loopback/TCP, speak the
 // framed wire protocol (net/wire.h), and share one servlet: one node
 // store, one branch table, one group-commit combiner — so commits from
 // different processes batch into combined publishes and share fsyncs
 // exactly as in-process committers do.
 //
-// Shape: one event-loop thread multiplexes the listen socket and every
-// connection (edge-ish via EPOLLONESHOT) and hands ready connections to a
-// small worker pool. A connection processes its requests strictly in
-// order — wire-v2 clients may keep many requests in flight (pipelining),
-// but responses are executed and answered in arrival order, each tagged
-// with its request's correlation id — so per-connection state needs no
-// locking: a connection is owned either by the epoll set or by exactly
-// one worker, never both. Concurrency across connections is what feeds
-// the combiner its batches; pipelining concentrates it per connection.
-// A worker drains a wakeup's worth of frames with vectored reads (readv)
-// and flushes all their responses in one coalesced writev burst.
+// Shape: a small pool of workers shares one epoll set. Every connection
+// (and the listen socket) is armed EPOLLONESHOT, so each readiness event
+// goes to exactly one worker's epoll_wait, and that worker serves the
+// connection inline and re-arms it: no thread hands a request to another.
+// Events carry a per-connection id, not the fd, so an event for a
+// connection closed by the idle sweep can never reach a newer connection
+// that reused its fd number. A connection processes its requests strictly
+// in order — wire-v2 clients may keep many requests in flight
+// (pipelining), but responses are executed and answered in arrival order,
+// each tagged with its request's correlation id — so per-connection state
+// needs no locking: a connection is owned either by the epoll set or by
+// exactly one worker, never both. Concurrency across connections is what
+// feeds the combiner its batches; pipelining concentrates it per
+// connection. A worker drains a wakeup's worth of frames with vectored
+// reads (readv) and flushes all their responses in one coalesced writev
+// burst.
 //
 // Malformed input never kills the server: a frame that cannot
 // resynchronize (oversized length, garbled varint, digest mismatch — the
@@ -31,7 +36,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -64,8 +68,9 @@ struct ServerOptions {
   /// stores only). Default ON in server mode; embedded default is OFF.
   uint64_t group_flush_window_micros = 200;
 
-  /// Request-processing threads. More workers = more concurrent publishes
-  /// feeding the combiner; connections never share a worker mid-request.
+  /// Threads that wait on the epoll set and serve the connection each
+  /// event names. More workers = more concurrent publishes feeding the
+  /// combiner; connections never share a worker mid-request.
   int worker_threads = 4;
 
   /// Frames beyond this are rejected as corrupt (see net/wire.h).
@@ -86,9 +91,9 @@ struct ServerOptions {
   /// instead of a RST that may discard the explanation.
   int max_connections = 0;
 
-  /// Connections with no traffic for this long are reaped by the event
-  /// loop's periodic tick (0 = never). In-flight connections (owned by a
-  /// worker or queued for one) are never reaped mid-request.
+  /// Connections with no traffic for this long are reaped by the periodic
+  /// sweep one worker claims per tick (0 = never). A connection a worker
+  /// is serving is never reaped mid-request.
   int idle_timeout_ms = 0;
 
   /// Per-connection cap on bytes buffered but not yet executed (0 = one
@@ -156,8 +161,8 @@ class SiriServer {
   /// The bound port (after Listen/AdoptListener).
   int port() const { return port_; }
 
-  /// Applies the server-mode group-flush window and spawns the event
-  /// loop + workers. Call once, after Listen/AdoptListener.
+  /// Applies the server-mode group-flush window and spawns the workers.
+  /// Call once, after Listen/AdoptListener.
   [[nodiscard]] Status Start();
 
   /// Stops accepting, joins every thread, closes every connection.
@@ -184,15 +189,24 @@ class SiriServer {
     /// handshake reads. Touched only by the owning worker.
     bool greeted = false;
     /// Wall of the connection's last traffic, for the idle sweep.
-    std::atomic<int64_t> last_activity_ms;
-    /// True from the moment the event loop queues the fd for a worker
-    /// until that worker re-arms it: the sweep and the drain must not
-    /// close a connection a worker is (or is about to be) processing.
-    std::atomic<bool> busy{false};
+    /// Guarded by SiriServer::mu_.
+    int64_t last_activity_ms;
+    /// True from the moment a worker claims the connection's event until
+    /// it re-arms the fd: the sweeps must not close a connection a worker
+    /// is serving. Guarded by SiriServer::mu_ — the claim and the sweep
+    /// both hold it, so a connection the sweep sees idle stays idle until
+    /// it is closed.
+    bool busy = false;
   };
 
-  void EventLoop();
+  /// One worker: waits on the shared epoll set and serves whatever event
+  /// it receives inline, until Stop.
   void WorkerLoop();
+  /// Accepts every queued connection, then re-arms the listen socket.
+  void AcceptAll() EXCLUDES(mu_);
+  /// Claims connection \p id (dropping a stale event for one already
+  /// closed), serves it, and re-arms or closes it.
+  void Serve(uint64_t id) EXCLUDES(mu_);
   /// Reads, decodes, and executes everything \p conn has ready; returns
   /// false when the connection must be closed. Responses for one wakeup
   /// accumulate in an outbox and flush coalesced (one writev burst per
@@ -217,10 +231,9 @@ class SiriServer {
   /// false: the connection must close.
   bool RejectAndClose(Connection* conn, const Status& reject,
                       std::vector<std::string>* outbox);
-  void CloseConnection(int fd) EXCLUDES(mu_);
-  /// Closes every connection not owned by a worker; run on the event-loop
-  /// tick for the idle sweep (\p idle_only) and during a drain (all).
-  void SweepConnections(bool idle_only) EXCLUDES(mu_);
+  /// Closes every connection no worker is serving: the idle ones (\p
+  /// idle_only, on the tick a worker claims) or all of them (drain).
+  void SweepConnections(bool idle_only) REQUIRES(mu_);
   size_t ActiveConnections() const EXCLUDES(mu_);
 
   ForkbaseServlet* servlet_;
@@ -230,17 +243,20 @@ class SiriServer {
   int wake_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> running_{false};
-  std::atomic<bool> draining_{false};
   bool started_ = false;
+  /// Wall time at which the next idle sweep falls due; the worker whose
+  /// compare-exchange advances it runs that sweep.
+  std::atomic<int64_t> next_sweep_ms_{0};
 
   mutable Mutex mu_;
-  std::condition_variable work_cv_;
   std::condition_variable drain_cv_;  ///< signaled when conns_ empties
-  std::deque<int> ready_ GUARDED_BY(mu_);  ///< fds waiting for a worker
-  std::unordered_map<int, std::unique_ptr<Connection>> conns_ GUARDED_BY(mu_);
-  bool stopping_ GUARDED_BY(mu_) = false;
+  /// Open connections by id, the key their epoll events carry. Ids are
+  /// never reused; 0 and 1 tag the listen socket and the wake eventfd.
+  std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns_
+      GUARDED_BY(mu_);
+  uint64_t next_conn_id_ GUARDED_BY(mu_) = 2;
+  bool draining_ GUARDED_BY(mu_) = false;
 
-  std::thread loop_thread_;
   std::vector<std::thread> workers_;
 
   std::atomic<uint64_t> connections_{0};

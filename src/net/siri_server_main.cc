@@ -77,7 +77,8 @@ void Usage(const char* argv0) {
                "DIR (default: in-memory)\n"
                "  --window-micros=N  group-fsync wait-a-little window "
                "(default 200; 0 = off)\n"
-               "  --workers=N        request worker threads (default 4)\n"
+               "  --workers=N        threads that wait on the epoll set and serve\n"
+               "                     each ready connection inline (default 4)\n"
                "  --mbt-buckets=N    MBT bucket count; must match clients "
                "(default 8192, at most 1048576)\n"
                "  --max-connections=N  reject Hellos beyond N open "

@@ -104,6 +104,39 @@ TEST(BenchFlagsDeathTest, ParseSocketTableRejectsTwoTables) {
               "--disk-fault and --chaos select different socket tables");
 }
 
+TEST(BenchFlagsTest, ParseThreadListReadsEveryCount) {
+  Argv none({"--scale=2"});
+  EXPECT_EQ(ParseThreadCounts(none.argc(), none.argv()),
+            (std::vector<int>{1, 2, 4, 8}));
+  Argv list({"--threads=1,3,16"});
+  EXPECT_EQ(ParseThreadCounts(list.argc(), list.argv()),
+            (std::vector<int>{1, 3, 16}));
+  Argv writers({"--write-threads=4", "--threads=2"});
+  EXPECT_EQ(ParseWriteThreadCounts(writers.argc(), writers.argv()),
+            (std::vector<int>{4}));
+  Argv max({"--threads=2147483647"});
+  EXPECT_EQ(ParseThreadCounts(max.argc(), max.argv()),
+            (std::vector<int>{2147483647}));
+}
+
+TEST(BenchFlagsDeathTest, ParseThreadListRejectsEveryMalformedCount) {
+  // Each of these used to run some other sweep with exit 0: the typo'd
+  // element was dropped, the list cut at it, or the whole flag replaced
+  // by the default 1,2,4,8. These only parse — no thread is started.
+  for (const char* bad :
+       {"O4", "4,x", "x,4", "", "4,", ",4", "4,,8", "0", "2,0", "-2", "+4",
+        " 4", "4 ", "4.5", "2147483648", "99999999999999999999"}) {
+    Argv a({std::string("--write-threads=") + bad});
+    EXPECT_EXIT(ParseWriteThreadCounts(a.argc(), a.argv()),
+                ::testing::ExitedWithCode(2),
+                "--write-threads= wants positive counts")
+        << "--write-threads=" << bad;
+  }
+  Argv threads({"--threads=1,2,four"});
+  EXPECT_EXIT(ParseThreadCounts(threads.argc(), threads.argv()),
+              ::testing::ExitedWithCode(2), "--threads= wants positive counts");
+}
+
 TEST(BenchFlagsTest, ReturnsTheFirstUnknownFlag) {
   Argv a({"--scale=4", "--sclae=8", "--also-bad"});
   const char* bad = FirstUnknownFlag(a.argc(), a.argv());

@@ -904,7 +904,7 @@ TEST(ServerDegradationTest, MaxConnectionsRejectIsTypedAndRecovers) {
   EXPECT_GE(server.stats().overload_rejects, 1u);
 
   // Capacity freed, the same client gets in (the server notices the close
-  // on its next event-loop pass).
+  // when a worker next receives the connection's hang-up event).
   first->Close();
   Status admitted = Status::Unavailable("never tried");
   const auto start = std::chrono::steady_clock::now();
@@ -938,7 +938,8 @@ TEST(ServerDegradationTest, IdleConnectionsAreReapedAndClientRecovers) {
   auto put = t->Put(std::string(32, 'i'));
   ASSERT_TRUE(put.ok());
 
-  // Go idle past the timeout; the event-loop tick reaps the connection.
+  // Go idle past the timeout; the idle sweep a worker runs on its tick
+  // reaps the connection.
   const auto start = std::chrono::steady_clock::now();
   while (server.stats().idle_reaped == 0 && ElapsedMs(start) < 10000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -1025,6 +1026,184 @@ TEST(ServerDegradationTest, DrainPersistsEveryAckedCommit) {
   }
   std::remove(pages.c_str());
   std::remove(refs.c_str());
+}
+
+TEST(ServerDegradationTest, ReapedAndRedialedConnectionsNeverCrossWires) {
+  // The idle sweep closes connections while busy clients keep the workers
+  // serving and new connections reuse the freed fd numbers. An event
+  // still in flight for a swept connection must be dropped, not served on
+  // whichever newer connection now holds its fd: every RPC gets its own
+  // bytes back and no frame ever garbles.
+  auto store = NewInMemoryNodeStore();
+  ForkbaseServlet servlet(store);
+  net::ServerOptions sopts;
+  sopts.worker_threads = 2;
+  sopts.group_flush_window_micros = 0;
+  sopts.idle_timeout_ms = 50;
+  net::SiriServer server(&servlet, sopts);
+  ASSERT_TRUE(server.Listen(0).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  std::atomic<int> wrong{0};
+  // One Put and one Get of a page unique to (client, step); false when
+  // either RPC failed or answered with anything but that page's bytes.
+  auto round_trip = [](net::SocketTransport* t, const std::string& page) {
+    auto put = t->Put(page);
+    if (!put.ok() || *put != Sha256::Digest(page)) return false;
+    auto got = t->Get(*put);
+    return got.ok() && **got == page;
+  };
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 3; ++c) {
+    clients.emplace_back([&, c] {
+      std::shared_ptr<net::SocketTransport> t;
+      if (!net::SocketTransport::Connect("127.0.0.1", server.port(), &t,
+                                         FastRetryOptions())
+               .ok()) {
+        wrong.fetch_add(1);
+        return;
+      }
+      for (int i = 0; i < 150; ++i) {
+        const std::string page = "busy" + std::to_string(c) + "/" +
+                                 std::to_string(i) + std::string(40, 'b');
+        if (!round_trip(t.get(), page)) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      for (int r = 0; r < 6; ++r) {
+        std::shared_ptr<net::SocketTransport> t;
+        if (!net::SocketTransport::Connect("127.0.0.1", server.port(), &t,
+                                           FastRetryOptions())
+                 .ok()) {
+          wrong.fetch_add(1);
+          continue;
+        }
+        const std::string tag =
+            "idle" + std::to_string(c) + "/" + std::to_string(r);
+        if (!round_trip(t.get(), tag + "/first")) wrong.fetch_add(1);
+        // Idle for 30–155 ms: some rounds wake just as the sweep reaps
+        // the connection, the rest long after; the next RPC redials.
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(30 + 25 * ((r + c) % 6)));
+        if (!round_trip(t.get(), tag + "/after-idle")) wrong.fetch_add(1);
+        t->Close();
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.frame_errors, 0u);
+  EXPECT_GE(stats.idle_reaped, 1u);
+  EXPECT_GE(stats.connections, 3u + 2u * 6u);
+  server.Stop();
+}
+
+TEST(ServerDegradationTest, ParkedPublishDoesNotHoldUpOtherConnections) {
+  // Workers serve connections inline: while one worker waits out a
+  // publish's group-flush window, another keeps answering a second
+  // connection's reads.
+  const std::string base = ::testing::TempDir() + "/siri_chaos_hol_" +
+                           std::to_string(getpid());
+  const std::string pages = base + "_pages.log";
+  std::remove(pages.c_str());
+  {
+    std::shared_ptr<FileNodeStore> store;
+    ASSERT_TRUE(FileNodeStore::Open(pages, &store).ok());
+    ForkbaseServlet servlet(store);
+    servlet.RegisterIndex(std::make_unique<PosTree>(store));
+    net::ServerOptions sopts;
+    sopts.worker_threads = 2;
+    sopts.group_flush_window_micros = 600 * 1000;
+    net::SiriServer server(&servlet, sopts);
+    ASSERT_TRUE(server.Listen(0).ok());
+    ASSERT_TRUE(server.Start().ok());
+
+    std::shared_ptr<net::SocketTransport> reader;
+    ASSERT_TRUE(
+        net::SocketTransport::Connect("127.0.0.1", server.port(), &reader)
+            .ok());
+    const std::string page(64, 'r');
+    auto put = reader->Put(page);
+    ASSERT_TRUE(put.ok());
+
+    std::shared_ptr<net::SocketTransport> writer;
+    ASSERT_TRUE(
+        net::SocketTransport::Connect("127.0.0.1", server.port(), &writer)
+            .ok());
+    auto client_store = std::make_shared<ForkbaseClientStore>(writer, 8 << 20);
+    PosTree index(client_store);
+    auto root = index.PutBatch(index.EmptyRoot(), {{"hol/k", "v"}});
+    ASSERT_TRUE(root.ok());
+    ASSERT_TRUE(client_store->Flush().ok());
+
+    std::atomic<bool> published{false};
+    std::thread publisher([&] {
+      net::PublishRequest pub;
+      pub.structure = "pos";
+      pub.branch = "main";
+      pub.new_root = *root;
+      pub.author = "hol";
+      pub.message = "parked";
+      auto landed = writer->Publish(pub);
+      EXPECT_TRUE(landed.ok()) << landed.status().ToString();
+      published.store(true);
+    });
+    // Let the publish reach the server and park in the flush window.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < 20; ++i) {
+      auto got = reader->Get(*put);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(**got, page);
+    }
+    EXPECT_FALSE(published.load())
+        << "reads waited for the parked publish on another connection";
+    EXPECT_LT(ElapsedMs(start), 300);
+    publisher.join();
+    server.Stop();
+  }
+  std::remove(pages.c_str());
+}
+
+TEST(ServerDegradationTest, DrainWithAnIdleConnectionReturnsPromptly) {
+  auto store = NewInMemoryNodeStore();
+  ForkbaseServlet servlet(store);
+  net::ServerOptions sopts;
+  sopts.worker_threads = 2;
+  sopts.group_flush_window_micros = 0;
+  net::SiriServer server(&servlet, sopts);
+  ASSERT_TRUE(server.Listen(0).ok());
+  ASSERT_TRUE(server.Start().ok());
+  std::shared_ptr<net::SocketTransport> t;
+  ASSERT_TRUE(
+      net::SocketTransport::Connect("127.0.0.1", server.port(), &t).ok());
+  ASSERT_TRUE(t->Put(std::string(32, 'd')).ok());
+
+  // The connection sits idle in the epoll set: the drain closes it at
+  // once instead of waiting for traffic or a timeout.
+  const auto start = std::chrono::steady_clock::now();
+  const auto summary = server.Drain();
+  EXPECT_LT(ElapsedMs(start), 500);
+  EXPECT_EQ(summary.connections_closed, 1u);
+}
+
+TEST(ServerDegradationTest, StopWithNoConnectionsJoinsPromptly) {
+  auto store = NewInMemoryNodeStore();
+  ForkbaseServlet servlet(store);
+  net::ServerOptions sopts;
+  sopts.worker_threads = 4;
+  net::SiriServer server(&servlet, sopts);
+  ASSERT_TRUE(server.Listen(0).ok());
+  ASSERT_TRUE(server.Start().ok());
+  // Every worker is asleep in epoll_wait; Stop must wake them all.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto start = std::chrono::steady_clock::now();
+  server.Stop();
+  EXPECT_LT(ElapsedMs(start), 250);
 }
 
 // --- forked chaos stress -----------------------------------------------
