@@ -68,6 +68,7 @@ class [[nodiscard]] Status {
   bool IsIOError() const { return code_ == Code::kIOError; }
   bool IsInvalidArgument() const { return code_ == Code::kInvalidArgument; }
   bool IsConflict() const { return code_ == Code::kConflict; }
+  bool IsNotSupported() const { return code_ == Code::kNotSupported; }
   bool IsResourceExhausted() const {
     return code_ == Code::kResourceExhausted;
   }

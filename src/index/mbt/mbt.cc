@@ -105,12 +105,19 @@ uint64_t Mbt::BucketIndexOf(Slice key) const {
 Status Mbt::LoadPathTo(
     const Hash& root, uint64_t bucket,
     std::vector<std::pair<Hash, std::shared_ptr<const std::string>>>* path,
-    LookupStats* stats) const {
+    LookupStats* stats, const Slice* lookup_key) const {
   // The traversal path is a "trivial reverse simulation of the complete
   // multi-way search tree": node index at level i is bucket / fanout^i.
+  const std::string structure = lookup_key != nullptr ? name() : "";
+  LookupPath at{structure, root, lookup_key != nullptr ? *lookup_key : Slice()};
   Hash cur = root;
   for (int level = num_levels_; level >= 0; --level) {
-    auto bytes = store_->Get(cur);
+    // The bucket (level 0) ends every path: nothing lies below it to fetch
+    // along, so it is a plain Get even for a point lookup.
+    auto bytes = lookup_key != nullptr && level > 0
+                     ? store_->GetOnPath(cur, at)
+                     : store_->Get(cur);
+    ++at.depth;
     if (!bytes.ok()) return bytes.status();
     if (stats) {
       ++stats->depth;
@@ -140,7 +147,7 @@ Result<std::optional<std::string>> Mbt::Get(const Hash& root, Slice key,
   const Hash r = root.IsZero() ? empty_root_ : root;
   const uint64_t bucket = BucketIndexOf(key);
   std::vector<std::pair<Hash, std::shared_ptr<const std::string>>> path;
-  Status s = LoadPathTo(r, bucket, &path, stats);
+  Status s = LoadPathTo(r, bucket, &path, stats, &key);
   if (!s.ok()) return s;
   std::vector<KV> entries;
   s = DecodeLeaf(*path.back().second, &entries);
@@ -355,12 +362,14 @@ Result<Proof> Mbt::GetProof(const Hash& root, Slice key) const {
   Status s = LoadPathTo(r, bucket, &path, nullptr);
   if (!s.ok()) return s;
   for (const auto& [h, bytes] : path) proof.nodes.push_back(*bytes);
-  std::vector<KV> entries;
-  s = DecodeLeaf(*path.back().second, &entries);
+  // A server answers every kGetPath with this walk: search the bucket in
+  // place rather than materializing its entries.
+  std::vector<LeafView> entries;
+  s = DecodeLeafViews(*path.back().second, &entries);
   if (!s.ok()) return s;
   bool found = false;
-  const size_t idx = LeafLowerBound(entries, key, &found);
-  if (found) proof.value = entries[idx].value;
+  const size_t idx = LeafLowerBoundViews(entries, key, &found);
+  if (found) proof.value = entries[idx].value.ToString();
   return proof;
 }
 

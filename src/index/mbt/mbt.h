@@ -77,11 +77,14 @@ class Mbt : public ImmutableIndex {
   Hash BuildEmptyTree();
 
   /// Loads the internal path from root to the bucket, returning the node
-  /// digests visited; path[0] is the root, path.back() is the bucket.
+  /// digests visited; path[0] is the root, path.back() is the bucket. A
+  /// point lookup passes its \p lookup_key and loads the internal nodes
+  /// through NodeStore::GetOnPath; every other walk loads with Get.
   Status LoadPathTo(const Hash& root, uint64_t bucket,
                     std::vector<std::pair<Hash, std::shared_ptr<const std::string>>>*
                         path,
-                    LookupStats* stats) const;
+                    LookupStats* stats,
+                    const Slice* lookup_key = nullptr) const;
 
   Status CollectRec(const Hash& node, int level, PageSet* pages) const;
   Status ScanRec(const Hash& node, int level,

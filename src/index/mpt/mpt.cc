@@ -128,8 +128,9 @@ namespace mpt_internal {
 
 template <typename NodeT>
 Result<NodeT> LoadNodeImpl(NodeStore* store, const Hash& h,
-                           LookupStats* stats = nullptr) {
-  auto bytes = store->Get(h);
+                           LookupStats* stats = nullptr,
+                           const LookupPath* at = nullptr) {
+  auto bytes = at != nullptr ? store->GetOnPath(h, *at) : store->Get(h);
   if (!bytes.ok()) return bytes.status();
   if (stats) {
     ++stats->depth;
@@ -412,11 +413,14 @@ Result<std::optional<std::string>> Mpt::Get(const Hash& root, Slice key,
   const Nibbles nibbles = KeyToNibbles(key);
   const uint8_t* path = nibbles.data();
   size_t len = nibbles.size();
+  const std::string structure = name();
+  LookupPath at{structure, root, key};
   Hash cur = root;
   while (true) {
     if (cur.IsZero()) return std::optional<std::string>{};
-    auto loaded = LoadNode(store_.get(), cur, stats);
+    auto loaded = LoadNode(store_.get(), cur, stats, &at);
     if (!loaded.ok()) return loaded.status();
+    ++at.depth;
     Node& n = *loaded;
     switch (n.type) {
       case Node::Type::kLeaf: {

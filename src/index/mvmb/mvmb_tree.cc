@@ -225,7 +225,7 @@ Result<Hash> MvmbTree::BuildFromSorted(const std::vector<KV>& entries) {
 
 Result<std::optional<std::string>> MvmbTree::Get(const Hash& root, Slice key,
                                                  LookupStats* stats) const {
-  return OrderedTreeGet(store_.get(), root, key, stats);
+  return OrderedTreeGet(store_.get(), name(), root, key, stats);
 }
 
 Result<Proof> MvmbTree::GetProof(const Hash& root, Slice key) const {

@@ -9,14 +9,17 @@
 namespace siri {
 
 Result<std::optional<std::string>> OrderedTreeGet(NodeStore* store,
+                                                  Slice structure,
                                                   const Hash& root, Slice key,
                                                   LookupStats* stats) {
   if (root.IsZero()) return std::optional<std::string>{};
+  LookupPath at{structure, root, key};
   Hash cur = root;
   std::vector<LeafView> leaf_views;
   std::vector<ChildView> child_views;
   while (true) {
-    auto bytes = store->Get(cur);
+    auto bytes = store->GetOnPath(cur, at);
+    ++at.depth;
     if (!bytes.ok()) return bytes.status();
     if (stats) {
       ++stats->depth;
@@ -100,25 +103,27 @@ Result<Proof> OrderedTreeGetProof(NodeStore* store, const Hash& root,
   Proof proof;
   proof.key = key.ToString();
   if (root.IsZero()) return proof;  // empty tree proves absence trivially
+  // A server answers every kGetPath with this walk, so it decodes with
+  // views exactly as OrderedTreeGet does.
   Hash cur = root;
+  std::vector<LeafView> leaf_views;
+  std::vector<ChildView> child_views;
   while (true) {
     auto bytes = store->Get(cur);
     if (!bytes.ok()) return bytes.status();
     proof.nodes.push_back(**bytes);
     if (IsLeafNode(**bytes)) {
-      std::vector<KV> entries;
-      Status s = DecodeLeaf(**bytes, &entries);
+      Status s = DecodeLeafViews(**bytes, &leaf_views);
       if (!s.ok()) return s;
       bool found = false;
-      const size_t idx = LeafLowerBound(entries, key, &found);
-      if (found) proof.value = entries[idx].value;
+      const size_t idx = LeafLowerBoundViews(leaf_views, key, &found);
+      if (found) proof.value = leaf_views[idx].value.ToString();
       return proof;
     }
-    std::vector<ChildEntry> children;
-    Status s = DecodeInternal(**bytes, &children);
+    Status s = DecodeInternalViews(**bytes, &child_views);
     if (!s.ok()) return s;
-    if (children.empty()) return Status::Corruption("empty internal node");
-    cur = children[ChildIndexFor(children, key)].hash;
+    if (child_views.empty()) return Status::Corruption("empty internal node");
+    cur = child_views[ChildIndexForViews(child_views, key)].ChildHash();
   }
 }
 

@@ -18,7 +18,10 @@
 namespace siri {
 
 /// Point lookup by root-to-leaf descent with binary search at each node.
+/// Loads through NodeStore::GetOnPath as index \p structure (the name a
+/// server registers it under).
 Result<std::optional<std::string>> OrderedTreeGet(NodeStore* store,
+                                                  Slice structure,
                                                   const Hash& root, Slice key,
                                                   LookupStats* stats);
 

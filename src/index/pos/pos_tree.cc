@@ -484,7 +484,7 @@ Result<Hash> PosTree::DeleteBatch(const Hash& root,
 
 Result<std::optional<std::string>> PosTree::Get(const Hash& root, Slice key,
                                                 LookupStats* stats) const {
-  return OrderedTreeGet(store_.get(), root, key, stats);
+  return OrderedTreeGet(store_.get(), name(), root, key, stats);
 }
 
 Result<Proof> PosTree::GetProof(const Hash& root, Slice key) const {

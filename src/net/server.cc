@@ -263,6 +263,7 @@ void SiriServer::WorkerLoop() {
     if (n == 1 && ev.data.u64 == kListenId) {
       AcceptAll();
     } else if (n == 1 && ev.data.u64 != kWakeId) {
+      if (event_hook_) event_hook_();
       Serve(ev.data.u64);
     }
     if (opts_.idle_timeout_ms <= 0) continue;
@@ -463,6 +464,11 @@ Status DegradedReject(const Status& cause) {
   return Status::Unavailable(msg);
 }
 
+Status NoIndexFor(const std::string& structure) {
+  return Status::NotFound("no server-side index registered for structure '" +
+                          structure + "'");
+}
+
 }  // namespace
 
 Status SiriServer::DiskHealth() const {
@@ -510,6 +516,25 @@ void SiriServer::ExecuteOp(const Request& req, Status* app,
         return;
       }
       body->assign(**bytes);
+      return;
+    }
+    case MsgType::kGetPath: {
+      // A point lookup's whole root-to-leaf path in one reply: the
+      // registered index's Merkle proof, minus the nodes the client
+      // already walked through. The client re-digests every node.
+      ImmutableIndex* index = servlet_->IndexFor(req.structure);
+      if (index == nullptr) {
+        *app = NoIndexFor(req.structure);
+        return;
+      }
+      auto proof = index->GetProof(req.hash, req.key);
+      if (!proof.ok()) {
+        *app = proof.status();
+        return;
+      }
+      const size_t skip = std::min<uint64_t>(req.skip, proof->nodes.size());
+      proof->nodes.erase(proof->nodes.begin(), proof->nodes.begin() + skip);
+      *body = EncodePathBody(proof->nodes);
       return;
     }
     case MsgType::kContains:
@@ -565,9 +590,7 @@ void SiriServer::ExecuteOp(const Request& req, Status* app,
     case MsgType::kPublish: {
       ImmutableIndex* index = servlet_->IndexFor(req.structure);
       if (index == nullptr) {
-        *app = Status::NotFound(
-            "no server-side index registered for structure '" +
-            req.structure + "'");
+        *app = NoIndexFor(req.structure);
         return;
       }
       PublishSpec spec;

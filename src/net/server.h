@@ -36,6 +36,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -258,6 +259,12 @@ class SiriServer {
   bool draining_ GUARDED_BY(mu_) = false;
 
   std::vector<std::thread> workers_;
+
+  /// Test seam, null outside tests: runs in a worker between epoll_wait
+  /// returning a connection's event and the worker's claim of it under
+  /// mu_. Set only through SiriServerTestPeer, before Start.
+  std::function<void()> event_hook_;
+  friend class SiriServerTestPeer;
 
   std::atomic<uint64_t> connections_{0};
   std::atomic<uint64_t> requests_{0};

@@ -681,6 +681,23 @@ Result<std::shared_ptr<const std::string>> SocketTransport::Get(
   return std::make_shared<const std::string>(std::move(*body));
 }
 
+Result<std::vector<std::shared_ptr<const std::string>>>
+SocketTransport::GetPath(const std::string& structure, const Hash& root,
+                         Slice key, uint64_t skip) {
+  Request req;
+  req.type = MsgType::kGetPath;
+  req.structure = structure;
+  req.hash = root;
+  req.key.assign(key.data(), key.size());
+  req.skip = skip;
+  auto body = CallIdempotent(&req);
+  if (!body.ok()) return body.status();
+  std::vector<std::shared_ptr<const std::string>> nodes;
+  Status decoded = DecodePathBody(*body, &nodes);
+  if (!decoded.ok()) return decoded;
+  return nodes;
+}
+
 Result<bool> SocketTransport::Contains(const Hash& h) {
   Request req;
   req.type = MsgType::kContains;

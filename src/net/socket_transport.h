@@ -48,6 +48,11 @@
 // Fetched nodes. Get re-digests the server's bytes and answers a
 // mismatch with Status::Corruption — not retried, so the caller (and its
 // cache) never sees bytes that do not hash to the digest it asked for.
+// GetPath (kGetPath) returns a lookup path's nodes without digests — the
+// requester knows only the first one it wants — so the verification is
+// the caller's: ForkbaseClientStore re-digests every node, caches each
+// under its own digest, and falls back to Get when no node hashes to the
+// digest it missed on.
 //
 // Cache push. With Options::cache_push set, Publish requests ask the
 // server to attach the publish's staged batch — merged index pages and
@@ -139,6 +144,10 @@ class SocketTransport : public Transport {
   Result<std::shared_ptr<const std::string>> Get(const Hash& h) override;
   Result<bool> Contains(const Hash& h) override;
   Result<uint64_t> SizeOf(const Hash& h) override;
+  /// One kGetPath RPC, replayed under the retry policy like any read.
+  Result<std::vector<std::shared_ptr<const std::string>>> GetPath(
+      const std::string& structure, const Hash& root, Slice key,
+      uint64_t skip) override;
   Result<Hash> Put(Slice bytes) override;
   Status PutMany(const NodeBatch& batch) override;
   Status Flush() override;

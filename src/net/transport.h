@@ -106,6 +106,17 @@ class Transport {
   virtual Result<std::shared_ptr<const std::string>> Get(const Hash& h) = 0;
   virtual Result<bool> Contains(const Hash& h) = 0;
   virtual Result<uint64_t> SizeOf(const Hash& h) = 0;
+  /// A point lookup's path in one round trip: the nodes the \p structure
+  /// index visits looking \p key up under \p root, in path order, minus
+  /// the first \p skip. The nodes come back unverified — the caller
+  /// re-digests each and follows its own digests from the root. Default:
+  /// NotSupported, and the caller walks the path one Get per node.
+  virtual Result<std::vector<std::shared_ptr<const std::string>>> GetPath(
+      const std::string& structure, const Hash& root, Slice key,
+      uint64_t skip) {
+    (void)structure, (void)root, (void)key, (void)skip;
+    return Status::NotSupported("transport has no GetPath");
+  }
   virtual Result<Hash> Put(Slice bytes) = 0;
   /// The chunk-upload call: a whole staged commit in one round trip.
   [[nodiscard]] virtual Status PutMany(const NodeBatch& batch) = 0;

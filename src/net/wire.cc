@@ -78,6 +78,12 @@ std::string EncodeRequest(const Request& req) {
       if (req.expected_head.has_value()) PutHash(&out, *req.expected_head);
       out.push_back(req.want_push ? 1 : 0);
       break;
+    case MsgType::kGetPath:
+      PutLengthPrefixed(&out, req.structure);
+      PutHash(&out, req.hash);
+      PutLengthPrefixed(&out, req.key);
+      PutVarint64(&out, req.skip);
+      break;
     case MsgType::kFlush:
     case MsgType::kStoreStats:
     case MsgType::kResetCounters:
@@ -167,6 +173,14 @@ Status DecodeRequest(Slice payload, Request* out) {
       out->want_push = want != 0;
       break;
     }
+    case MsgType::kGetPath:
+      if (!GetLengthPrefixed(&payload, &out->structure) ||
+          !GetHash(&payload, &out->hash) ||
+          !GetLengthPrefixed(&payload, &out->key) ||
+          !GetVarint64(&payload, &out->skip)) {
+        return Malformed("get path");
+      }
+      break;
     case MsgType::kFlush:
     case MsgType::kStoreStats:
     case MsgType::kResetCounters:
@@ -350,6 +364,34 @@ Status DecodeStoreStatsBody(Slice body, NodeStore::Stats* s) {
       !GetVarint64(&body, &s->unique_bytes) ||
       !GetVarint64(&body, &s->flushes)) {
     return Malformed("store stats");
+  }
+  return CheckDrained(body);
+}
+
+std::string EncodePathBody(const std::vector<std::string>& nodes) {
+  std::string out;
+  PutVarint64(&out, nodes.size());
+  for (const std::string& n : nodes) PutLengthPrefixed(&out, n);
+  return out;
+}
+
+Status DecodePathBody(Slice body,
+                      std::vector<std::shared_ptr<const std::string>>* nodes) {
+  uint64_t count = 0;
+  // Each node needs at least its length byte, so an honest count never
+  // exceeds the bytes left — reject before reserving.
+  if (!GetVarint64(&body, &count) || count > body.size()) {
+    return Malformed("path count");
+  }
+  nodes->clear();
+  nodes->reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t len = 0;
+    if (!GetVarint64(&body, &len) || len > body.size()) {
+      return Malformed("path node");
+    }
+    nodes->push_back(std::make_shared<const std::string>(body.data(), len));
+    body.remove_prefix(len);
   }
   return CheckDrained(body);
 }

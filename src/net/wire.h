@@ -1,9 +1,10 @@
 // Copyright (c) 2026 The siri Authors. MIT license.
 //
 // Wire protocol for the client/server boundary: the RPC surface
-// ForkbaseClientStore uses (node Get/Contains/SizeOf, Put, the batched
-// PutMany upload, branch head/publish/stats), serialized as one framed
-// message per request and per response.
+// ForkbaseClientStore uses (node Get/Contains/SizeOf, the one-round-trip
+// lookup path GetPath, Put, the batched PutMany upload, branch
+// head/publish/stats), serialized as one framed message per request and
+// per response.
 //
 // Frame = the digest-verified record format both append-only logs already
 // use (common/record_io.h): `varint payload-len | 32-byte SHA-256(payload)
@@ -75,6 +76,11 @@ enum class MsgType : uint8_t {
   kStoreStats = 11,     ///< empty body
   kResetCounters = 12,  ///< empty body
   kListBranches = 13,   ///< empty body
+  /// body: lp structure | root hash | lp key | varint skip. Reply body:
+  /// varint count | lp node bytes each — the lookup path of key under
+  /// root (the registered index's GetProof nodes), minus its first
+  /// `skip` nodes. No digests: the client computes them.
+  kGetPath = 14,
   kResponse = 64,  ///< body: u8 status code | lp message | result body
 };
 
@@ -85,11 +91,14 @@ struct Request {
   /// Pipelining correlation id (every type but kHello): echoed on the
   /// response so a client with several RPCs in flight matches them up.
   uint64_t corr_id = 0;
-  Hash hash;                             ///< kGet / kContains / kSizeOf
+  /// kGet / kContains / kSizeOf: the node; kGetPath: the version root.
+  Hash hash;
   std::string bytes;                     ///< kPut node payload
   NodeBatch batch;                       ///< kPutMany
   std::string branch;                    ///< kHead / kBranchStats / kPublish
-  std::string structure;                 ///< kPublish: server-side index name
+  std::string structure;  ///< kPublish / kGetPath: server-side index name
+  std::string key;                       ///< kGetPath: the looked-up key
+  uint64_t skip = 0;  ///< kGetPath: path nodes the client already holds
   Hash new_root;                         ///< kPublish
   std::string author;                    ///< kPublish
   std::string message;                   ///< kPublish
@@ -184,6 +193,14 @@ std::string EncodeBranchStatsBody(const BranchStats& s);
 
 std::string EncodeStoreStatsBody(const NodeStore::Stats& s);
 [[nodiscard]] Status DecodeStoreStatsBody(Slice body, NodeStore::Stats* s);
+
+/// The kGetPath reply: root-to-leaf path nodes, in path order.
+std::string EncodePathBody(const std::vector<std::string>& nodes);
+/// Decodes each node straight into its own shared buffer (the pages the
+/// client caches). A count larger than the bytes left is rejected before
+/// anything is reserved.
+[[nodiscard]] Status DecodePathBody(
+    Slice body, std::vector<std::shared_ptr<const std::string>>* nodes);
 
 std::string EncodeStringListBody(const std::vector<std::string>& v);
 [[nodiscard]] Status DecodeStringListBody(Slice body,

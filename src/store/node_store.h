@@ -47,6 +47,19 @@ struct NodeRecord {
 /// A batch of nodes flushed together at a commit boundary.
 using NodeBatch = std::vector<NodeRecord>;
 
+/// \brief Where a point lookup stands when it loads a node: the index it
+/// walks (\c structure, the name a server registers it under), the
+/// version \c root and \c key it looks up, and how many nodes it loaded
+/// above this one (\c depth; 0 = the root). Enough for a remote store to
+/// fetch the rest of the path in one round trip. Borrowed views: valid for
+/// the one GetOnPath call.
+struct LookupPath {
+  Slice structure;
+  Hash root;
+  Slice key;
+  uint64_t depth = 0;
+};
+
 /// \brief Abstract content-addressed store mapping SHA-256(bytes) -> bytes.
 ///
 /// Implementations must be thread-safe. Nodes are immutable once stored.
@@ -85,6 +98,15 @@ class NodeStore {
 
   /// Fetches the node with digest \p h. NotFound if absent.
   virtual Result<std::shared_ptr<const std::string>> Get(const Hash& h) = 0;
+
+  /// Get(\p h) for a node a point lookup reaches at \p path. The default
+  /// is Get; ForkbaseClientStore answers a miss by fetching every node
+  /// from this one down to the leaf in one round trip.
+  virtual Result<std::shared_ptr<const std::string>> GetOnPath(
+      const Hash& h, const LookupPath& path) {
+    (void)path;
+    return Get(h);
+  }
 
   virtual bool Contains(const Hash& h) const = 0;
 

@@ -3,6 +3,7 @@
 #include "system/forkbase.h"
 
 #include "common/status.h"
+#include "crypto/sha256.h"
 
 namespace siri {
 
@@ -70,6 +71,16 @@ void ForkbaseClientStore::PutMany(const NodeBatch& batch) {
 
 Result<std::shared_ptr<const std::string>> ForkbaseClientStore::Get(
     const Hash& h) {
+  return Fetch(h, nullptr);
+}
+
+Result<std::shared_ptr<const std::string>> ForkbaseClientStore::GetOnPath(
+    const Hash& h, const LookupPath& path) {
+  return Fetch(h, &path);
+}
+
+Result<std::shared_ptr<const std::string>> ForkbaseClientStore::Fetch(
+    const Hash& h, const LookupPath* path) {
   if (auto cached = cache_.Lookup(h)) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     return cached;
@@ -101,12 +112,7 @@ Result<std::shared_ptr<const std::string>> ForkbaseClientStore::Get(
     return flight->bytes;
   }
 
-  auto bytes = transport_->Get(h);
-  if (bytes.ok()) {
-    remote_gets_.fetch_add(1, std::memory_order_relaxed);
-    remote_bytes_.fetch_add((*bytes)->size(), std::memory_order_relaxed);
-    cache_.Insert(h, *bytes);
-  }
+  auto bytes = path != nullptr ? FetchPath(h, *path) : FetchNode(h);
   // Publish to followers, then retire the flight so later misses start a
   // fresh fetch (by then the node is normally in the cache anyway).
   {
@@ -121,6 +127,43 @@ Result<std::shared_ptr<const std::string>> ForkbaseClientStore::Get(
     inflight_.erase(h);
   }
   return bytes;
+}
+
+Result<std::shared_ptr<const std::string>> ForkbaseClientStore::FetchNode(
+    const Hash& h) {
+  auto bytes = transport_->Get(h);
+  if (bytes.ok()) {
+    remote_gets_.fetch_add(1, std::memory_order_relaxed);
+    remote_bytes_.fetch_add((*bytes)->size(), std::memory_order_relaxed);
+    cache_.Insert(h, *bytes);
+  }
+  return bytes;
+}
+
+Result<std::shared_ptr<const std::string>> ForkbaseClientStore::FetchPath(
+    const Hash& h, const LookupPath& path) {
+  if (!path_supported_.load(std::memory_order_relaxed)) return FetchNode(h);
+  auto nodes = transport_->GetPath(path.structure.ToString(), path.root,
+                                   path.key, path.depth);
+  if (!nodes.ok()) {
+    if (nodes.status().IsNotSupported()) {
+      path_supported_.store(false, std::memory_order_relaxed);
+    }
+    return FetchNode(h);  // any failure: this miss goes node by node
+  }
+  // The server is not trusted: every node is cached under the digest its
+  // own bytes hash to, so a wrong, missing or extra node can never stand
+  // in for another. The lookup then walks on from h by its own digests.
+  remote_gets_.fetch_add(1, std::memory_order_relaxed);
+  std::shared_ptr<const std::string> found;
+  for (std::shared_ptr<const std::string>& node : *nodes) {
+    remote_bytes_.fetch_add(node->size(), std::memory_order_relaxed);
+    const Hash digest = Sha256::Digest(*node);
+    if (digest == h && found == nullptr) found = node;
+    cache_.Insert(digest, std::move(node));
+  }
+  if (found == nullptr) return FetchNode(h);
+  return found;
 }
 
 bool ForkbaseClientStore::Contains(const Hash& h) const {

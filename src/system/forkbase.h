@@ -121,7 +121,9 @@ class ForkbaseServlet {
 class ForkbaseClientStore : public NodeStore {
  public:
   struct RemoteStats {
-    uint64_t remote_gets = 0;   ///< fetches that had to go to the servlet
+    /// Fetches that had to go to the servlet; a GetOnPath miss's one
+    /// path round trip counts once, however many nodes it brought back.
+    uint64_t remote_gets = 0;
     uint64_t cache_hits = 0;    ///< fetches served locally
     uint64_t remote_bytes = 0;  ///< bytes shipped from the servlet
     /// Misses that piggybacked on another thread's in-flight fetch of the
@@ -174,6 +176,14 @@ class ForkbaseClientStore : public NodeStore {
   /// the rest wait on its result and count as coalesced_gets.
   Result<std::shared_ptr<const std::string>> Get(const Hash& h) override;
 
+  /// Get for a point lookup's node: a miss fetches every node from \p h
+  /// down to the leaf in one transport GetPath (one remote_get), caches
+  /// each under the digest it hashes to, and returns the one hashing to
+  /// \p h. When no returned node does, or the call fails, the miss falls
+  /// back to a per-node Get. Coalesces with Get's in-flight fetches.
+  Result<std::shared_ptr<const std::string>> GetOnPath(
+      const Hash& h, const LookupPath& path) override;
+
   bool Contains(const Hash& h) const override;
   Result<uint64_t> SizeOf(const Hash& h) const override;
   /// The *server* store's counters, fetched over the transport (empty on
@@ -201,7 +211,20 @@ class ForkbaseClientStore : public NodeStore {
     std::shared_ptr<const std::string> bytes GUARDED_BY(mu);
   };
 
+  /// The one body of Get and GetOnPath (\p path null for a plain Get):
+  /// cache, then singleflight, then the leader's remote fetch.
+  Result<std::shared_ptr<const std::string>> Fetch(const Hash& h,
+                                                   const LookupPath* path);
+  /// The leader's round trip for one node: a transport Get.
+  Result<std::shared_ptr<const std::string>> FetchNode(const Hash& h);
+  /// The leader's round trip for a lookup path; see GetOnPath.
+  Result<std::shared_ptr<const std::string>> FetchPath(const Hash& h,
+                                                       const LookupPath& path);
+
   std::shared_ptr<net::Transport> transport_;
+  /// Cleared once the transport answers GetPath with NotSupported (an
+  /// in-process transport): later misses go straight to Get.
+  std::atomic<bool> path_supported_{true};
   mutable NodeCache cache_;  // Lookup refreshes recency, so const paths touch it
   mutable std::atomic<uint64_t> remote_gets_{0};
   mutable std::atomic<uint64_t> cache_hits_{0};

@@ -24,16 +24,20 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -54,6 +58,39 @@
 #include "version/commit.h"
 
 namespace siri {
+namespace net {
+
+/// Test access to SiriServer's private event seam and connection table.
+class SiriServerTestPeer {
+ public:
+  explicit SiriServerTestPeer(SiriServer* server) : server_(server) {}
+
+  /// Installs the hook a worker runs between epoll_wait returning a
+  /// connection's event and its claim of that connection. Before Start.
+  void SetEventHook(std::function<void()> hook) {
+    server_->event_hook_ = std::move(hook);
+  }
+
+  /// Closes every connection no worker has claimed, as a drain's sweep.
+  void ReapUnclaimed() {
+    MutexLock lock(server_->mu_);
+    server_->SweepConnections(/*idle_only=*/false);
+  }
+
+  /// The server-side fd of every open connection.
+  std::vector<int> ConnectionFds() {
+    MutexLock lock(server_->mu_);
+    std::vector<int> fds;
+    for (const auto& [id, conn] : server_->conns_) fds.push_back(conn->fd);
+    return fds;
+  }
+
+ private:
+  SiriServer* server_;
+};
+
+}  // namespace net
+
 namespace {
 
 using net::FaultAction;
@@ -1099,6 +1136,128 @@ TEST(ServerDegradationTest, ReapedAndRedialedConnectionsNeverCrossWires) {
   EXPECT_EQ(stats.frame_errors, 0u);
   EXPECT_GE(stats.idle_reaped, 1u);
   EXPECT_GE(stats.connections, 3u + 2u * 6u);
+  server.Stop();
+}
+
+TEST(ServerDegradationTest, StaleEventOfAReapedConnectionNeverServesItsFdHeir) {
+  // Pins the window the churn test above can only hope to hit: a worker
+  // holds connection A's event between epoll_wait and its claim while A is
+  // reaped and a new connection B takes A's fd number. The held event must
+  // be dropped. B is answered through its own event only, so nothing may
+  // reach B while that event is still held.
+  auto store = NewInMemoryNodeStore();
+  const std::string page = "the page B asks for";
+  const Hash page_hash = store->Put(page);
+  ForkbaseServlet servlet(store);
+  net::ServerOptions sopts;
+  sopts.worker_threads = 2;
+  sopts.group_flush_window_micros = 0;
+  net::SiriServer server(&servlet, sopts);
+  net::SiriServerTestPeer peer(&server);
+
+  // The first two connection events park their workers until released.
+  std::mutex mu;
+  std::condition_variable cv;
+  int events = 0;
+  int released = 0;
+  peer.SetEventHook([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    const int mine = ++events;
+    cv.notify_all();
+    cv.wait(lock, [&] { return mine > 2 || released >= mine; });
+  });
+  auto await_events = [&](int n) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(5),
+                       [&] { return events >= n; });
+  };
+  auto release = [&](int n) {
+    std::lock_guard<std::mutex> lock(mu);
+    released = n;
+    cv.notify_all();
+  };
+  ASSERT_TRUE(server.Listen(0).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
+  net::Request hello;
+  hello.type = net::MsgType::kHello;
+  const std::string hello_frame =
+      net::EncodeFrame(net::EncodeRequest(hello));
+
+  const int a = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_EQ(connect(a, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(send(a, hello_frame.data(), hello_frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(hello_frame.size()));
+  ASSERT_TRUE(await_events(1)) << "no worker received A's event";
+  const std::vector<int> a_fds = peer.ConnectionFds();
+  ASSERT_EQ(a_fds.size(), 1u);
+
+  // B's client end is made before the reap, so the server's accept is
+  // what takes A's freed fd number.
+  const int b = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  peer.ReapUnclaimed();
+  ASSERT_TRUE(peer.ConnectionFds().empty());
+  ASSERT_EQ(connect(b, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  std::vector<int> b_fds;
+  for (int i = 0; i < 500 && b_fds.empty(); ++i) {
+    b_fds = peer.ConnectionFds();
+    if (b_fds.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  ASSERT_EQ(b_fds, a_fds) << "B did not inherit A's fd number";
+
+  net::Request get;
+  get.type = net::MsgType::kGet;
+  get.corr_id = 1;
+  get.hash = page_hash;
+  const std::string b_frames =
+      hello_frame + net::EncodeFrame(net::EncodeRequest(get));
+  ASSERT_EQ(send(b, b_frames.data(), b_frames.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(b_frames.size()));
+  ASSERT_TRUE(await_events(2)) << "no worker received B's event";
+
+  release(1);  // A's stale event goes on to the claim
+  pollfd pfd{b, POLLIN, 0};
+  EXPECT_EQ(poll(&pfd, 1, 300), 0)
+      << "A's stale event served B, the connection that reused its fd";
+
+  release(2);  // B's own event: B's answers arrive now
+  timeval tv{};
+  tv.tv_sec = 5;
+  (void)setsockopt(b, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  net::FrameDecoder dec;
+  std::vector<std::string> payloads;
+  char buf[4096];
+  while (payloads.size() < 2) {
+    std::string payload;
+    auto next = dec.Next(&payload);
+    ASSERT_TRUE(next.ok());
+    if (*next) {
+      payloads.push_back(std::move(payload));
+      continue;
+    }
+    const ssize_t n = recv(b, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "B's answers never arrived";
+    dec.Append(buf, static_cast<size_t>(n));
+  }
+  Status app;
+  std::string body;
+  ASSERT_TRUE(net::DecodeHelloResponse(payloads[0], &app, &body).ok());
+  EXPECT_TRUE(app.ok()) << app.ToString();
+  uint64_t corr = 0;
+  ASSERT_TRUE(net::DecodeResponse(payloads[1], &app, &body, &corr).ok());
+  EXPECT_TRUE(app.ok()) << app.ToString();
+  EXPECT_EQ(corr, 1u);
+  EXPECT_EQ(body, page);
+  EXPECT_EQ(server.stats().frame_errors, 0u);
+
+  close(a);
+  close(b);
   server.Stop();
 }
 

@@ -833,6 +833,9 @@ TEST_F(DegradedServerTest, EnospcFlipsServerReadOnlyWithTypedRejects) {
   ASSERT_TRUE(head.ok());
   EXPECT_EQ(*head, head1->head);
   EXPECT_TRUE(client_->GetBranchStats(kBranch).ok());
+  auto path = client_->GetPath("pos", *root1, testing_util::TKey(3), 0);
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  EXPECT_FALSE(path->empty());
 
   // The degradation is observable in server stats, with its cause.
   const auto st = server_->stats();

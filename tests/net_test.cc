@@ -24,6 +24,9 @@
 
 #include "common/varint.h"
 #include "crypto/sha256.h"
+#include "index/mbt/mbt.h"
+#include "index/mpt/mpt.h"
+#include "index/mvmb/mvmb_tree.h"
 #include "index/pos/pos_tree.h"
 #include "net/server.h"
 #include "net/socket_transport.h"
@@ -141,6 +144,66 @@ TEST(WireCodecTest, PutManyRejectsCountBeyondPayload) {
   PutVarint64(&payload, 1u << 30);
   Request out;
   EXPECT_TRUE(net::DecodeRequest(payload, &out).IsCorruption());
+}
+
+TEST(WireCodecTest, GetPathRequestAndReplyRoundTrip) {
+  Request in;
+  in.type = MsgType::kGetPath;
+  in.corr_id = 9;
+  in.structure = "mpt";
+  in.hash = Sha256::Digest("root");
+  in.key = std::string("k\x00ey", 4);
+  in.skip = 3;
+  Request out = RoundTrip(in);
+  EXPECT_EQ(out.corr_id, 9u);
+  EXPECT_EQ(out.structure, "mpt");
+  EXPECT_EQ(out.hash, in.hash);
+  EXPECT_EQ(out.key, in.key);
+  EXPECT_EQ(out.skip, 3u);
+
+  for (const std::vector<std::string>& path :
+       {std::vector<std::string>{},
+        std::vector<std::string>{"root node", "", std::string(300, 'l')}}) {
+    std::vector<std::shared_ptr<const std::string>> nodes;
+    ASSERT_TRUE(net::DecodePathBody(net::EncodePathBody(path), &nodes).ok());
+    ASSERT_EQ(nodes.size(), path.size());
+    for (size_t i = 0; i < path.size(); ++i) EXPECT_EQ(*nodes[i], path[i]);
+  }
+}
+
+TEST(WireCodecTest, GetPathRejectsMalformedBodies) {
+  // Request: every field is required, and nothing may trail the skip.
+  Request in;
+  in.type = MsgType::kGetPath;
+  in.structure = "pos";
+  in.hash = Sha256::Digest("root");
+  in.key = "key";
+  in.skip = 1;
+  const std::string payload = net::EncodeRequest(in);
+  Request out;
+  for (size_t cut = 1; cut < payload.size(); ++cut) {
+    EXPECT_TRUE(net::DecodeRequest(payload.substr(0, cut), &out).IsCorruption())
+        << "cut at " << cut;
+  }
+  EXPECT_TRUE(net::DecodeRequest(payload + "x", &out).IsCorruption());
+
+  // Reply: a count beyond the bytes left is refused before any reserve, a
+  // node longer than the body is refused, and so are trailing bytes.
+  std::vector<std::shared_ptr<const std::string>> nodes;
+  std::string lying_count;
+  PutVarint64(&lying_count, uint64_t{1} << 62);
+  lying_count += "\x01x";
+  EXPECT_TRUE(net::DecodePathBody(lying_count, &nodes).IsCorruption());
+  EXPECT_TRUE(nodes.empty());
+  std::string long_node;
+  PutVarint64(&long_node, 1);
+  PutVarint64(&long_node, 100);
+  long_node += "short";
+  EXPECT_TRUE(net::DecodePathBody(long_node, &nodes).IsCorruption());
+  EXPECT_TRUE(
+      net::DecodePathBody(net::EncodePathBody({"node"}) + "x", &nodes)
+          .IsCorruption());
+  EXPECT_TRUE(net::DecodePathBody(Slice(), &nodes).IsCorruption());
 }
 
 TEST(WireCodecTest, ResponseRoundTripsStatusAndBody) {
@@ -376,6 +439,19 @@ TEST(WireCodecTest, HealthyPathBytesArePinned) {
   get.corr_id = 7;
   get.hash = FilledHash('\x11');
   EXPECT_EQ(ToHex(net::EncodeRequest(get)), "0207" + h11);
+
+  // type 14 | corr 8 | "mpt" | root | "k" | skip 2.
+  Request path;
+  path.type = MsgType::kGetPath;
+  path.corr_id = 8;
+  path.structure = "mpt";
+  path.hash = FilledHash('\x11');
+  path.key = "k";
+  path.skip = 2;
+  EXPECT_EQ(ToHex(net::EncodeRequest(path)),
+            "0e08" "036d7074" + h11 + "016b" "02");
+  // count 2 | "ab" | "c".
+  EXPECT_EQ(ToHex(net::EncodePathBody({"ab", "c"})), "02" "026162" "0163");
 
   // type | corr 300 | "pos" | "main" | root | "a" | "m" | expected head
   // flag + head | want_push.
@@ -1012,6 +1088,307 @@ TEST_F(LoopbackServerTest, GetRejectsBytesThatDoNotHashToTheDigest) {
   t.reset();
   peer.join();
   close(listen_fd);
+}
+
+// --- kGetPath: one round trip per lookup, and no trust in the reply ----
+
+// How the hand-rolled peer below lies on kGetPath.
+enum class PathLie {
+  kWrongNode,        // the path of a stale version, not the one asked for
+  kShortPath,        // the honest path with one node missing
+  kExtraNode,        // the honest path plus an off-path node
+  kCountBeyondBody,  // a node count the body cannot hold
+  kTypedError,       // a typed error instead of a path
+};
+
+// A peer that serves kGet honestly from `index`'s store but answers every
+// kGetPath with `lie`. One connection, until the client hangs up.
+class LyingPathPeer {
+ public:
+  LyingPathPeer(const Mpt* index, Hash stale_root, PathLie lie)
+      : index_(index), stale_root_(stale_root), lie_(lie) {
+    listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(
+        bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    EXPECT_EQ(listen(listen_fd_, 4), 0);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(
+        getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { Serve(); });
+  }
+
+  ~LyingPathPeer() {
+    thread_.join();
+    close(listen_fd_);
+  }
+
+  int port() const { return port_; }
+  int gets() const { return gets_.load(); }
+  int paths() const { return paths_.load(); }
+
+ private:
+  std::string Reply(const Request& req) {
+    if (req.type == MsgType::kGet) {
+      gets_.fetch_add(1);
+      auto bytes = index_->store()->Get(req.hash);
+      if (!bytes.ok()) {
+        return net::EncodeResponse(bytes.status(), Slice(), req.corr_id);
+      }
+      return net::EncodeResponse(Status::OK(), **bytes, req.corr_id);
+    }
+    paths_.fetch_add(1);
+    const Hash root = lie_ == PathLie::kWrongNode ? stale_root_ : req.hash;
+    auto proof = index_->GetProof(root, req.key);
+    EXPECT_TRUE(proof.ok());
+    std::vector<std::string> nodes = proof->nodes;
+    nodes.erase(nodes.begin(),
+                nodes.begin() + std::min<size_t>(req.skip, nodes.size()));
+    std::string body;
+    switch (lie_) {
+      case PathLie::kWrongNode:
+        body = net::EncodePathBody(nodes);
+        break;
+      case PathLie::kShortPath:
+        if (!nodes.empty()) nodes.erase(nodes.begin() + nodes.size() / 2);
+        body = net::EncodePathBody(nodes);
+        break;
+      case PathLie::kExtraNode: {
+        // A genuine node, just not on this path: the stale version's root.
+        auto off_path = index_->store()->Get(stale_root_);
+        EXPECT_TRUE(off_path.ok());
+        nodes.insert(nodes.begin() + std::min<size_t>(1, nodes.size()),
+                     **off_path);
+        body = net::EncodePathBody(nodes);
+        break;
+      }
+      case PathLie::kCountBeyondBody:
+        PutVarint64(&body, uint64_t{1} << 40);
+        PutLengthPrefixed(&body, "x");
+        break;
+      case PathLie::kTypedError:
+        return net::EncodeResponse(Status::Corruption("path unavailable"),
+                                   Slice(), req.corr_id);
+    }
+    return net::EncodeResponse(Status::OK(), body, req.corr_id);
+  }
+
+  void Serve() {
+    const int c = accept(listen_fd_, nullptr, nullptr);
+    if (c < 0) return;
+    timeval tv{};
+    tv.tv_sec = 5;
+    (void)setsockopt(c, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    FrameDecoder dec;
+    std::string payload;
+    char buf[4096];
+    for (;;) {
+      auto next = dec.Next(&payload);
+      if (!next.ok()) break;
+      if (*next) {
+        Request req;
+        if (!net::DecodeRequest(payload, &req).ok()) break;
+        std::string reply;
+        if (req.type == MsgType::kHello) {
+          std::string body;
+          PutVarint64(&body, net::kWireVersion);
+          reply = net::EncodeHelloResponse(Status::OK(), body);
+        } else if (req.type == MsgType::kGet ||
+                   req.type == MsgType::kGetPath) {
+          reply = Reply(req);
+        } else {
+          break;
+        }
+        const std::string frame = net::EncodeFrame(reply);
+        (void)send(c, frame.data(), frame.size(), MSG_NOSIGNAL);
+        continue;
+      }
+      const ssize_t n = recv(c, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      dec.Append(buf, static_cast<size_t>(n));
+    }
+    close(c);
+  }
+
+  const Mpt* index_;
+  const Hash stale_root_;
+  const PathLie lie_;
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::atomic<int> gets_{0};
+  std::atomic<int> paths_{0};
+  std::thread thread_;
+};
+
+TEST(GetPathTest, LyingPeerNeverYieldsAWrongValueOrAMislabeledPage) {
+  auto store = NewInMemoryNodeStore();
+  Mpt index(store);
+  auto stale = index.PutBatch(Hash::Zero(), MakeKvs(300, /*version=*/0));
+  ASSERT_TRUE(stale.ok());
+  auto root = index.PutBatch(*stale, MakeKvs(300, /*version=*/1));
+  ASSERT_TRUE(root.ok());
+
+  for (PathLie lie : {PathLie::kWrongNode, PathLie::kShortPath,
+                      PathLie::kExtraNode, PathLie::kCountBeyondBody,
+                      PathLie::kTypedError}) {
+    SCOPED_TRACE(static_cast<int>(lie));
+    LyingPathPeer peer(&index, *stale, lie);
+    std::shared_ptr<net::SocketTransport> t;
+    ASSERT_TRUE(
+        net::SocketTransport::Connect("127.0.0.1", peer.port(), &t).ok());
+    auto client_store = std::make_shared<ForkbaseClientStore>(t, 16 << 20);
+    Mpt client_index(client_store);
+    for (int i : {0, 17, 123, 299}) {
+      const std::string key = testing_util::TKey(i);
+      // The lookup walks by its own digests from the root it holds, so
+      // it reads the asked-for version's value or fails typed.
+      auto got = client_index.Get(*root, key, nullptr);
+      if (!got.ok()) {
+        EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+        continue;
+      }
+      ASSERT_TRUE(got->has_value());
+      EXPECT_EQ(**got, testing_util::TVal(i, 1));
+      // Whatever the client holds under a path digest — cached from the
+      // lie or fetched now — hashes to that digest.
+      auto proof = index.GetProof(*root, key);
+      ASSERT_TRUE(proof.ok());
+      for (const std::string& node : proof->nodes) {
+        const Hash d = Sha256::Digest(node);
+        auto held = client_store->Get(d);
+        ASSERT_TRUE(held.ok()) << held.status().ToString();
+        EXPECT_EQ(Sha256::Digest(**held), d);
+      }
+    }
+    if (lie == PathLie::kExtraNode) {
+      // Every path still held the nodes asked for: one round trip per
+      // lookup at most, and no per-node fallback.
+      EXPECT_LE(peer.paths(), 4);
+      EXPECT_EQ(peer.gets(), 0);
+    } else if (lie == PathLie::kShortPath) {
+      // The gap is a miss of its own: at least one more round trip.
+      EXPECT_GT(peer.paths(), 4);
+    } else {
+      EXPECT_GT(peer.gets(), 0);  // the per-node fallback served the misses
+    }
+    client_store.reset();
+    t->Close();
+  }
+}
+
+// A server with every structure registered, and clients over sockets.
+class GetPathServerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    store_ = NewInMemoryNodeStore();
+    servlet_ = std::make_unique<ForkbaseServlet>(store_);
+    MbtOptions mbt;
+    mbt.num_buckets = 256;
+    mbt.fanout = 4;
+    std::vector<std::unique_ptr<ImmutableIndex>> indexes;
+    indexes.push_back(std::make_unique<Mpt>(store_));
+    indexes.push_back(std::make_unique<Mbt>(store_, mbt));
+    indexes.push_back(std::make_unique<PosTree>(store_));
+    indexes.push_back(std::make_unique<MvmbTree>(store_));
+    for (auto& index : indexes) {
+      auto root = index->PutBatch(index->EmptyRoot(), MakeKvs(kKeys));
+      ASSERT_TRUE(root.ok());
+      roots_.push_back(*root);
+      servers_.push_back(index.get());
+      servlet_->RegisterIndex(std::move(index));
+    }
+    net::ServerOptions opts;
+    opts.worker_threads = 2;
+    opts.group_flush_window_micros = 0;
+    server_ = std::make_unique<net::SiriServer>(servlet_.get(), opts);
+    ASSERT_TRUE(server_->Listen(0).ok());
+    ASSERT_TRUE(server_->Start().ok());
+  }
+
+  void TearDown() override { server_->Stop(); }
+
+  std::shared_ptr<net::SocketTransport> Connect() {
+    std::shared_ptr<net::SocketTransport> t;
+    Status s = net::SocketTransport::Connect("127.0.0.1", server_->port(), &t);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return t;
+  }
+
+  static constexpr int kKeys = 2000;
+  NodeStorePtr store_;
+  std::unique_ptr<ForkbaseServlet> servlet_;
+  std::vector<ImmutableIndex*> servers_;
+  std::vector<Hash> roots_;
+  std::unique_ptr<net::SiriServer> server_;
+};
+
+TEST_F(GetPathServerTest, ColdLookupIsOneRpcAndWarmLookupIsNone) {
+  for (size_t s = 0; s < servers_.size(); ++s) {
+    SCOPED_TRACE(servers_[s]->name());
+    auto t = Connect();
+    ASSERT_NE(t, nullptr);
+    auto client_store = std::make_shared<ForkbaseClientStore>(t, 16 << 20);
+    auto client_index = servers_[s]->WithStore(client_store);
+    for (int i : {7, 1234}) {
+      const std::string key = testing_util::TKey(i);
+      auto want = servers_[s]->Get(roots_[s], key, nullptr);
+      ASSERT_TRUE(want.ok());
+      ASSERT_TRUE(want->has_value());
+
+      const uint64_t before = t->stats().rpcs;
+      auto got = client_index->Get(roots_[s], key, nullptr);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, *want);
+      const uint64_t cold = t->stats().rpcs - before;
+      // The first lookup misses on the root: one round trip fetches the
+      // whole path. Later lookups miss below cached nodes: still one.
+      if (i == 7) {
+        EXPECT_EQ(cold, 1u);
+      } else {
+        EXPECT_LE(cold, 1u);
+      }
+
+      const uint64_t warm_before = t->stats().rpcs;
+      got = client_index->Get(roots_[s], key, nullptr);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, *want);
+      EXPECT_EQ(t->stats().rpcs - warm_before, 0u);
+    }
+    EXPECT_EQ(client_store->remote_stats().remote_gets, 2u)
+        << "one remote_get per kGetPath";
+  }
+}
+
+TEST_F(GetPathServerTest, ThreadsSharingOneSmallCacheReadCorrectValues) {
+  // The ycsb-cold-read shape: several reader threads, one pipelined
+  // connection, a cache far smaller than the data.
+  for (size_t s = 0; s < servers_.size(); ++s) {
+    SCOPED_TRACE(servers_[s]->name());
+    auto t = Connect();
+    ASSERT_NE(t, nullptr);
+    auto client_store = std::make_shared<ForkbaseClientStore>(t, 32 << 10);
+    auto client_index = servers_[s]->WithStore(client_store);
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 4; ++r) {
+      readers.emplace_back([&, r] {
+        for (int n = 0; n < 150; ++n) {
+          const int i = (r * 7919 + n * 104729) % kKeys;
+          auto got =
+              client_index->Get(roots_[s], testing_util::TKey(i), nullptr);
+          if (!got.ok() || !got->has_value() ||
+              **got != testing_util::TVal(i)) {
+            wrong.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& r : readers) r.join();
+    EXPECT_EQ(wrong.load(), 0);
+  }
 }
 
 TEST_F(LoopbackServerTest, ClientStoreOverSocketReadsAndCommits) {
